@@ -11,7 +11,6 @@ was unusable.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 
@@ -68,7 +67,6 @@ class RunConfig:
     hom_limit: int = None
     out: str = None
     format: str = "json"
-    threads: int = 1
 
     def as_json(self) -> dict:
         return {
@@ -78,7 +76,6 @@ class RunConfig:
             "branch_limit": self.branch_limit,
             "hom_limit": self.hom_limit,
             "format": self.format,
-            "threads": self.threads,
         }
 
 
@@ -155,13 +152,6 @@ def _build_parser() -> _Parser:
 
 
 def _config_from(args) -> RunConfig:
-    threads = 1
-    raw = os.environ.get("RIGIDLAB_THREADS")
-    if raw:
-        try:
-            threads = max(1, int(raw))
-        except ValueError:
-            raise UsageError(f"RIGIDLAB_THREADS must be an integer, got {raw!r}")
     return RunConfig(
         backend=args.backend,
         tolerance=args.tolerance,
@@ -170,7 +160,6 @@ def _config_from(args) -> RunConfig:
         hom_limit=args.hom_limit,
         out=args.out,
         format=args.format,
-        threads=threads,
     )
 
 

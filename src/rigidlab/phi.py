@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DuplicateMember, MissingTriangle, UsageError
 from .numeric import is_unit
@@ -39,7 +40,7 @@ class Orientation:
         if not report.ok:
             raise ValueError(f"not an admissible orientation: {report.violation}")
 
-    @property
+    @cached_property
     def pair_set(self) -> frozenset:
         return frozenset(self.pairs)
 

@@ -5,14 +5,24 @@ domains over target elements, constraints induced by the ordered pairs.
 An initial arc-consistency pass plus forward checking keeps desk-scale
 instances fast; results are canonically sorted so parallel or reordered
 exploration cannot change observable output.
+
+Each domain is a Python int whose bit a stands for target element a.
+The target's successor, predecessor and two-way masks per element, with
+the OR of each mask list, are built on its first search and cached on the
+RelStruct.  Revising u against v is then D[u] &= OR of M[b] over b in
+D[v] (the cached OR when D[v] is full), and forward checking after
+v -> a is D[w] &= M[a].  Branching takes the unassigned variable with the
+fewest values, ties to the lowest index, and tries values in ascending
+order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product as iter_product
 
-from .errors import BudgetExhausted, NoWitnessExists
+from .errors import NoWitnessExists
 
 
 @dataclass(frozen=True)
@@ -35,9 +45,27 @@ class RelStruct:
                 raise ValueError("labels length must equal n")
             object.__setattr__(self, "labels", lb)
 
-    @property
+    @cached_property
     def pair_set(self) -> frozenset:
         return frozenset(self.pairs)
+
+    @cached_property
+    def _masks(self) -> tuple:
+        """Target indexes for enumerate_homs, built on first search.
+
+        Returns (loop_mask, tables): bit a of loop_mask is set when (a, a)
+        is a pair; tables[1], [2], [3] hold the successor, predecessor and
+        two-way masks per element, each with the OR of its masks.
+        """
+        succ = [0] * self.n
+        pred = [0] * self.n
+        for i, j in self.pairs:
+            succ[i] |= 1 << j
+            pred[j] |= 1 << i
+        both = [s & p for s, p in zip(succ, pred)]
+        loop_mask = _or_all(m & (1 << a) for a, m in enumerate(succ))
+        tables = (None,) + tuple((m, _or_all(m)) for m in (succ, pred, both))
+        return loop_mask, tables
 
     def has(self, i: int, j: int) -> bool:
         return (i, j) in self.pair_set
@@ -69,54 +97,23 @@ class HomSearchResult:
         return iter(self.maps)
 
 
-def _constraint_tables(src: RelStruct, dst: RelStruct):
-    """Per-variable-pair constraint lookup.
-
-    For variables u != v, need[(u, v)] lists the ordered src pairs between
-    them; loops become unary domain filters.
-    """
-    dst_has = dst.pair_set
-    loops = set()
-    between = {}
-    for i, j in src.pairs:
-        if i == j:
-            loops.add(i)
-        else:
-            between.setdefault((i, j), True)
-    return dst_has, loops, between
+def _or_all(masks) -> int:
+    out = 0
+    for m in masks:
+        out |= m
+    return out
 
 
-def _images_ok(dst_has, between, u, v, a, b) -> bool:
-    # checks both orientations of constraints between assigned u->a, v->b
-    if (u, v) in between and (a, b) not in dst_has:
-        return False
-    if (v, u) in between and (b, a) not in dst_has:
-        return False
-    return True
-
-
-def _revise(domains, dst_has, between, u, v) -> bool:
-    """Remove values of u with no support at v; True when changed."""
-    forward = (u, v) in between
-    backward = (v, u) in between
-    if not forward and not backward:
-        return False
-    keep = []
-    for a in domains[u]:
-        ok = False
-        for b in domains[v]:
-            if forward and (a, b) not in dst_has:
-                continue
-            if backward and (b, a) not in dst_has:
-                continue
-            ok = True
-            break
-        if ok:
-            keep.append(a)
-    if len(keep) != len(domains[u]):
-        domains[u] = keep
-        return True
-    return False
+def _support(masks, full_or: int, domain: int, full: int) -> int:
+    """OR of masks[b] over the bits b of domain; full_or when domain is full."""
+    if domain == full:
+        return full_or
+    out = 0
+    while domain:
+        low = domain & -domain
+        out |= masks[low.bit_length() - 1]
+        domain ^= low
+    return out
 
 
 def enumerate_homs(src: RelStruct, dst: RelStruct, pin=None, limit=None) -> HomSearchResult:
@@ -130,90 +127,95 @@ def enumerate_homs(src: RelStruct, dst: RelStruct, pin=None, limit=None) -> HomS
     for i, a in pin.items():
         if not (0 <= i < src.n and 0 <= a < dst.n):
             raise ValueError(f"pin {i}->{a} out of range")
-    dst_has, loops, between = _constraint_tables(src, dst)
+    n = src.n
+    full = (1 << dst.n) - 1
+    loop_mask, tables = dst._masks
 
-    unary = [a for a in range(dst.n)]
-    domains = []
-    for i in range(src.n):
-        if i in pin:
-            dom = [pin[i]]
+    # kind[(u, v)]: bit 1 when (u, v) is a src pair, bit 2 when (v, u) is;
+    # tables[kind] then gives, per value a of u, the values v may take
+    kind = {}
+    domains = [full] * n
+    for i, j in src.pairs:
+        if i == j:
+            domains[i] &= loop_mask
         else:
-            dom = list(unary)
-        if i in loops:
-            dom = [a for a in dom if (a, a) in dst_has]
-        domains.append(dom)
+            kind[i, j] = kind.get((i, j), 0) | 1
+            kind[j, i] = kind.get((j, i), 0) | 2
+    for i, a in pin.items():
+        domains[i] &= 1 << a
+    arcs = [[] for _ in range(n)]
+    for (u, v), k in sorted(kind.items()):
+        arcs[u].append((v,) + tables[k])
 
-    neighbors = [set() for _ in range(src.n)]
-    for (i, j) in between:
-        neighbors[i].add(j)
-        neighbors[j].add(i)
-
-    # AC-3 pass
-    queue = [(u, v) for (u, v) in between] + [(v, u) for (u, v) in between]
+    # AC-3 over variables: a shrunk domain re-revises its neighbours
+    queue = [v for v in range(n) if arcs[v]]
+    queued = [bool(arcs[v]) for v in range(n)]
     while queue:
-        u, v = queue.pop()
-        if _revise(domains, dst_has, between, u, v):
-            if not domains[u]:
-                return HomSearchResult((), False, 0)
-            for w in neighbors[u]:
-                if w != v:
-                    queue.append((w, u))
+        v = queue.pop()
+        queued[v] = False
+        for u, masks, full_or in arcs[v]:
+            du = domains[u]
+            nu = du & _support(masks, full_or, domains[v], full)
+            if nu != du:
+                if not nu:
+                    return HomSearchResult((), False, 0)
+                domains[u] = nu
+                if not queued[u]:
+                    queued[u] = True
+                    queue.append(u)
 
     maps = []
     nodes = 0
     truncated = False
-    assignment = [-1] * src.n
+    assignment = [-1] * n
 
-    def select_var(active_domains):
-        best = -1
-        best_size = None
-        for i in range(src.n):
-            if assignment[i] >= 0:
-                continue
-            size = len(active_domains[i])
-            if best_size is None or size < best_size:
-                best, best_size = i, size
-        return best
-
-    def search(active_domains):
+    def search():
         nonlocal nodes, truncated
-        if truncated:
-            return
-        var = select_var(active_domains)
+        # MRV, ties to the lowest index
+        var = -1
+        best = dst.n + 1
+        for i in range(n):
+            if assignment[i] < 0:
+                size = domains[i].bit_count()
+                if size < best:
+                    var, best = i, size
         if var < 0:
             maps.append(tuple(assignment))
             if limit is not None and len(maps) >= limit:
                 truncated = True
             return
-        for a in active_domains[var]:
+        rest = domains[var]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            a = low.bit_length() - 1
             nodes += 1
             assignment[var] = a
-            pruned = dict()
-            dead = False
-            for w in neighbors[var]:
-                if assignment[w] >= 0:
-                    if not _images_ok(dst_has, between, var, w, a, assignment[w]):
-                        dead = True
+            saved = []
+            for w, masks, _ in arcs[var]:
+                allowed = masks[a]
+                b = assignment[w]
+                if b >= 0:
+                    if not allowed >> b & 1:
                         break
                     continue
-                keep = [b for b in active_domains[w]
-                        if _images_ok(dst_has, between, var, w, a, b)]
-                if not keep:
-                    dead = True
+                dw = domains[w]
+                nw = dw & allowed
+                if not nw:
                     break
-                if len(keep) != len(active_domains[w]):
-                    pruned[w] = active_domains[w]
-                    active_domains[w] = keep
-            if not dead:
-                search(active_domains)
-            for w, old in pruned.items():
-                active_domains[w] = old
+                if nw != dw:
+                    saved.append((w, dw))
+                    domains[w] = nw
+            else:
+                search()
+            for w, dw in saved:
+                domains[w] = dw
             assignment[var] = -1
             if truncated:
                 return
 
     if all(domains):
-        search(domains)
+        search()
     maps.sort()
     return HomSearchResult(tuple(maps), truncated, nodes)
 
@@ -295,10 +297,13 @@ class MinWitnessResult:
 def find_min_witness(s: RelStruct, x: int, y: int, budget: int = 4096) -> MinWitnessResult:
     """Smallest valid witness for (x, y) under an exhaustive-check budget.
 
-    Subsets containing x are tried smallest-first; if the budget dies
-    before the scan finishes, a greedy grow pass produces a valid but
-    possibly non-minimal witness.  NoWitnessExists is raised when even the
-    full universe fails, i.e. some endomorphism already sends x to y.
+    Subsets containing x are tried smallest-first.  If the budget dies
+    before the scan finishes, a one-pass deletion filter shrinks the full
+    universe, already checked valid, to an inclusion-minimal witness that
+    is returned with minimal=False; this fallback may spend up to n-1
+    checks beyond the budget, and checks_used counts them.
+    NoWitnessExists is raised when even the full universe fails, i.e. some
+    endomorphism already sends x to y.
     """
     if x == y:
         raise ValueError("witness search requires x != y")
@@ -309,34 +314,27 @@ def find_min_witness(s: RelStruct, x: int, y: int, budget: int = 4096) -> MinWit
         checks += 1
         return check_witness(s, WitnessSet(subset, x, y))
 
-    full = tuple(range(s.n))
-    if not checked(full).valid:
+    if not checked(tuple(range(s.n))).valid:
         raise NoWitnessExists(f"an endomorphism maps {x} to {y}")
 
     others = [i for i in range(s.n) if i != x]
-    for size in range(1, s.n + 1):
-        for rest in combinations(others, size - 1):
-            if checks >= budget:
-                break
-            if checked((x,) + rest).valid:
-                return MinWitnessResult(WitnessSet((x,) + rest, x, y), True, checks)
-        else:
-            continue
-        break
+    # the last candidate is the full universe, so the scan returns unless
+    # the budget runs out
+    candidates = ((x,) + rest for size in range(s.n) for rest in combinations(others, size))
+    for subset in candidates:
+        if checks >= budget:
+            break
+        if checked(subset).valid:
+            return MinWitnessResult(WitnessSet(subset, x, y), True, checks)
 
-    # budget exhausted mid-scan: grow greedily from {x}, always valid at full
-    subset = [x]
-    while checks < budget:
-        if checked(tuple(subset)).valid:
-            return MinWitnessResult(WitnessSet(tuple(subset), x, y), False, checks)
-        for i in others:
-            if i not in subset:
-                subset.append(i)
-                break
-    raise BudgetExhausted(
-        f"witness search for ({x},{y}) exceeded {budget} checks",
-        partial=tuple(subset),
-    )
+    # validity is monotone under growing the subset, so dropping each
+    # element whose removal keeps the subset valid ends inclusion-minimal
+    kept = list(range(s.n))
+    for i in others:
+        trial = [v for v in kept if v != i]
+        if checked(tuple(trial)).valid:
+            kept = trial
+    return MinWitnessResult(WitnessSet(tuple(kept), x, y), False, checks)
 
 
 @dataclass(frozen=True)

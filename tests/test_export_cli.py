@@ -239,13 +239,3 @@ class TestCli:
                         "--out", out) == 0
         assert load_json(out)["backend"] == "float"
 
-    def test_threads_env_recorded(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RIGIDLAB_THREADS", "4")
-        out = str(tmp_path / "o.json")
-        assert self.run("orient", "--radius", "1", "--mode", "count",
-                        "--out", out) == 0
-        assert load_json(out)["config"]["threads"] == 4
-
-    def test_bad_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RIGIDLAB_THREADS", "many")
-        assert self.run("orient", "--radius", "1", "--mode", "count") == 4

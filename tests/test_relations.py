@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rigidlab import phi, plane, product
 from rigidlab.errors import BudgetExhausted, NoWitnessExists
 from rigidlab.relations import (
     RelStruct,
@@ -77,6 +78,35 @@ class TestEnumerateHoms:
         fast = set(enumerate_homs(src, dst).maps)
         slow = set(brute_force_homs(src, dst))
         assert fast == slow
+
+    @given(structs(), structs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_pin_and_limit_match_brute_force(self, src, dst, data):
+        pin = data.draw(st.dictionaries(st.integers(0, src.n - 1),
+                                        st.integers(0, dst.n - 1), max_size=2))
+        limit = data.draw(st.none() | st.integers(1, 6))
+        res = enumerate_homs(src, dst, pin=pin, limit=limit)
+        oracle = brute_force_homs(src, dst, pin=pin)
+        assert list(res.maps) == sorted(res.maps)
+        if limit is None or len(oracle) < limit:
+            assert not res.truncated
+            assert res.maps == oracle
+        else:
+            assert res.truncated
+            assert len(res.maps) == limit
+            assert set(res.maps) <= set(oracle)
+
+    @given(structs(n_max=5), structs(n_max=5), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_counts_invariant_under_relabelling(self, src, dst, data):
+        def relabel(s, perm):
+            return RelStruct(s.n, tuple((perm[i], perm[j]) for i, j in s.pairs))
+
+        count = len(enumerate_homs(src, dst))
+        p = data.draw(st.permutations(range(src.n)))
+        q = data.draw(st.permutations(range(dst.n)))
+        assert len(enumerate_homs(relabel(src, p), dst)) == count
+        assert len(enumerate_homs(src, relabel(dst, q))) == count
 
     @given(structs())
     @settings(max_examples=80, deadline=None)
@@ -151,6 +181,40 @@ class TestWitness:
             # witness must at least verify
             res = find_min_witness(s, 0, 1, budget=1)
             assert check_witness(s, res.witness).valid
+
+    def test_budget_fallback_returns_valid_witness(self):
+        # at x = p0 this product's smallest witness lies beyond the scan
+        # budget, so the deletion filter shrinks the full universe instead
+        ps = plane.lattice_ball(2)
+        P = product.build_product(ps, [phi.orientation_from_bits(ps, 121525150946),
+                                       phi.orientation_from_bits(ps, 187724881616)])
+        s, x, y = P.structure, P.element(0, 0), P.element(0, 1)
+        res = find_min_witness(s, x, y, budget=4096)
+        assert not res.minimal
+        assert 4096 < res.checks_used <= 4096 + s.n - 1
+        assert check_witness(s, res.witness).valid
+        for v in res.witness.subset:
+            if v != x:
+                rest = [u for u in res.witness.subset if u != v]
+                assert not check_witness(s, WitnessSet(rest, x, y)).valid
+
+    def test_finite_fragment_without_witness(self):
+        # no subset of the fiber separates x under these two orientations
+        # of lattice_ball(2): some endomorphism already maps x to its twin
+        ps = plane.lattice_ball(2)
+        S = phi.orientation_from_bits(ps, 357706255478)
+        Z = phi.orientation_from_bits(ps, 494293321939)
+        built = product.witness_case2(ps[4], S, Z)
+        assert built.whole_fiber
+        assert built.witness.subset == tuple(range(len(ps)))
+        verdict = product.verify_product_witness(built.product, built.witness)
+        assert not verdict.valid
+        assert verdict.fiber_consistent
+        assert verdict.counterexample[built.src] == built.tgt
+        fibers = {built.product.fiber_of(e) for e in verdict.counterexample.values()}
+        assert fibers == {1}
+        with pytest.raises(NoWitnessExists):
+            find_min_witness(built.product.structure, built.src, built.tgt)
 
     def test_same_element_rejected(self):
         with pytest.raises(ValueError):
