@@ -333,7 +333,10 @@ def witness_case2(x: Point, S: Orientation, Z: Orientation,
     distance certificates for the conflict endpoints.  When the in-fragment
     certificates fail to pin both endpoints uniquely, the witness falls
     back to the whole S fiber, which is still finite and still checked
-    exhaustively.
+    exhaustively.  That fallback is not always a witness: for some
+    orientation pairs of a finite fragment an endomorphism of the whole
+    product already sends (x, S) to (x, Z), so no witness exists there
+    and verify_product_witness reports the counterexample.
     """
     X = S.base
     if Z.base != X:

@@ -304,6 +304,18 @@ def find_min_witness(s: RelStruct, x: int, y: int, budget: int = 4096) -> MinWit
     checks beyond the budget, and checks_used counts them.
     NoWitnessExists is raised when even the full universe fails, i.e. some
     endomorphism already sends x to y.
+
+    A check is either a hom search of the candidate or a decision by the
+    component rule, and both count alike against the budget.  The rule:
+    let W's induced pairs, taken as undirected edges without loops, split
+    W into components, and let C be the one holding x.  Every pair of W
+    lies inside one component, so a map of C with x -> y extended by the
+    identity elsewhere preserves W's pairs, and a map of W restricts to
+    one of C: W is a witness exactly when C is.  When W is disconnected,
+    C is a smaller connected candidate containing x, so the smallest-first
+    scan has already searched it, and the scan only goes on past a failed
+    search.  A disconnected candidate is therefore no witness, and it is
+    decided without a search.
     """
     if x == y:
         raise ValueError("witness search requires x != y")
@@ -317,6 +329,10 @@ def find_min_witness(s: RelStruct, x: int, y: int, budget: int = 4096) -> MinWit
     if not checked(tuple(range(s.n))).valid:
         raise NoWitnessExists(f"an endomorphism maps {x} to {y}")
 
+    # neighbours[v]: the elements sharing a pair with v, loops dropped
+    _, tables = s._masks
+    neighbours = [(out | into) & ~(1 << v)
+                  for v, (out, into) in enumerate(zip(tables[1][0], tables[2][0]))]
     others = [i for i in range(s.n) if i != x]
     # the last candidate is the full universe, so the scan returns unless
     # the budget runs out
@@ -324,7 +340,12 @@ def find_min_witness(s: RelStruct, x: int, y: int, budget: int = 4096) -> MinWit
     for subset in candidates:
         if checks >= budget:
             break
-        if checked(subset).valid:
+        mask = 0
+        for v in subset:
+            mask |= 1 << v
+        if _component(neighbours, x, mask) != mask:
+            checks += 1  # decided by the component rule: no witness
+        elif checked(subset).valid:
             return MinWitnessResult(WitnessSet(subset, x, y), True, checks)
 
     # validity is monotone under growing the subset, so dropping each
@@ -335,6 +356,19 @@ def find_min_witness(s: RelStruct, x: int, y: int, budget: int = 4096) -> MinWit
         if checked(tuple(trial)).valid:
             kept = trial
     return MinWitnessResult(WitnessSet(tuple(kept), x, y), False, checks)
+
+
+def _component(neighbours, x: int, within: int) -> int:
+    """Bitmask of x's component in the graph `neighbours` induces on the
+    elements of the bitmask `within`."""
+    reach = frontier = 1 << x
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = neighbours[low.bit_length() - 1] & within & ~reach
+        reach |= new
+        frontier |= new
+    return reach
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from rigidlab.product import (
     witness_case1,
     witness_case2,
 )
-from rigidlab.relations import WitnessSet
+from rigidlab.relations import WitnessSet, check_witness
 
 lattice_pts = st.builds(lattice_point, st.integers(-6, 6), st.integers(-6, 6))
 
@@ -119,6 +119,29 @@ class TestCase1:
         assert built.strict_exclusion
         verdict = verify_product_witness(built.product, built.witness)
         assert verdict.valid
+
+    @pytest.mark.parametrize("x,y", [
+        (lattice_point(1, 0), Point(QScalar(5), QScalar(0))),
+        (lattice_point(2, 0), Point(QScalar(6), QScalar(0))),
+        (lattice_point(0, 3), Point(QScalar(9), QScalar(0))),
+        (lattice_point(1, 1), Point(QScalar(7), QScalar(0))),
+    ])
+    @pytest.mark.parametrize("radius", [2, 3])
+    def test_witness_survives_ambient_growth(self, x, y, radius):
+        # a larger universe offers the witness's maps more images, but the
+        # case-1 certificate pins x's distance from a triangle corner in
+        # any lattice universe, so x must still not reach y
+        built = witness_case1(x, y)
+        P = built.product
+        U = P.base.with_points(lattice_ball(radius).points)
+        Q = build_product(U, [orientation_from_bits(U, 0)])
+        # U keeps P's points first and both products orient its edges low
+        # to high, so the witness keeps its element numbers and pairs
+        assert len(U) > len(P.base)
+        assert all(U.index_of(P.base[i]) == i for i in range(len(P.base)))
+        sub = built.witness.subset
+        assert Q.structure.restrict(sub).pairs == P.structure.restrict(sub).pairs
+        assert check_witness(Q.structure, built.witness).valid
 
     def test_witness_contains_x_not_required_to_contain_y(self):
         built = witness_case1(lattice_point(1, 0), Point(QScalar(5), QScalar(0)))

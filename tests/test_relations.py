@@ -1,12 +1,13 @@
 """Finite relational structures: hom search, rigidity, witness sets."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidlab import phi, plane, product
+from rigidlab import phi, plane, product, relations
 from rigidlab.errors import BudgetExhausted, NoWitnessExists
 from rigidlab.relations import (
     RelStruct,
@@ -34,6 +35,33 @@ def structs(draw, n_max=4):
     pool = [(i, j) for i in range(n) for j in range(n)]
     pairs = draw(st.sets(st.sampled_from(pool)))
     return RelStruct(n, tuple(pairs))
+
+
+def reference_min_witness(s, x, y, budget=4096):
+    """find_min_witness as a plain smallest-first scan that searches every
+    candidate: (subset, minimal, checks_used)."""
+    checks = 0
+
+    def valid(subset):
+        nonlocal checks
+        checks += 1
+        return check_witness(s, WitnessSet(subset, x, y)).valid
+
+    if not valid(tuple(range(s.n))):
+        raise NoWitnessExists("full universe fails")
+    others = [i for i in range(s.n) if i != x]
+    for size in range(s.n):
+        for rest in combinations(others, size):
+            if checks >= budget:
+                break
+            if valid((x,) + rest):
+                return tuple(sorted((x,) + rest)), True, checks
+    kept = list(range(s.n))
+    for i in others:
+        trial = [v for v in kept if v != i]
+        if valid(trial):
+            kept = trial
+    return tuple(kept), False, checks
 
 
 class TestRelStruct:
@@ -219,6 +247,62 @@ class TestWitness:
     def test_same_element_rejected(self):
         with pytest.raises(ValueError):
             find_min_witness(RelStruct(2, ()), 1, 1)
+
+
+class TestMinWitnessOracle:
+    """find_min_witness decides disconnected candidates without a search;
+    the plain scan that searches each one must give the same result."""
+
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_plain_scan(self, data):
+        n = data.draw(st.integers(2, 7))
+        pool = [(i, j) for i in range(n) for j in range(n)]
+        size = data.draw(st.integers(0, len(pool)))
+        s = RelStruct(n, tuple(data.draw(st.sets(st.sampled_from(pool), max_size=size))))
+        x = data.draw(st.integers(0, n - 1))
+        y = data.draw(st.sampled_from([v for v in range(n) if v != x]))
+        budget = data.draw(st.none() | st.integers(1, 40))
+        kwargs = {} if budget is None else {"budget": budget}
+        try:
+            expected = reference_min_witness(s, x, y, **kwargs)
+        except NoWitnessExists:
+            with pytest.raises(NoWitnessExists):
+                find_min_witness(s, x, y, **kwargs)
+            return
+        res = find_min_witness(s, x, y, **kwargs)
+        assert (res.witness.subset, res.minimal, res.checks_used) == expected
+
+    def test_disconnected_candidate_counted_unsearched(self, monkeypatch):
+        # {0, 1} has no pair joining 0 and 1, so it is decided without a
+        # search; {0, 2} is a witness, since no successor of 1 has a loop
+        s = RelStruct(4, ((0, 2), (2, 2), (1, 3)))
+        searched = []
+        real = relations.check_witness
+        monkeypatch.setattr(relations, "check_witness",
+                            lambda *args: searched.append(args[1].subset) or real(*args))
+        res = find_min_witness(s, 0, 1)
+        assert (res.witness.subset, res.minimal, res.checks_used) == ((0, 2), True, 4)
+        assert searched == [(0, 1, 2, 3), (0,), (0, 2)]
+
+    @pytest.mark.parametrize("bits,expected", [
+        # x = p0 in two inputs of bench/minimize_pool.json, with the
+        # results of the plain scan: an origin input, and one whose scan
+        # outruns the budget
+        ((138253369779, 18153949995), ((0, 3, 5, 6), True, 1964)),
+        ((121525150946, 187724881616), ((0, 3, 5, 14, 16), False, 4133)),
+    ])
+    def test_checks_used_pinned(self, bits, expected, monkeypatch):
+        ps = plane.lattice_ball(2)
+        P = product.build_product(ps, [phi.orientation_from_bits(ps, b) for b in bits])
+        s, x, y = P.structure, P.element(0, 0), P.element(0, 1)
+        searched = []
+        real = relations.check_witness
+        monkeypatch.setattr(relations, "check_witness",
+                            lambda *args: searched.append(1) or real(*args))
+        res = find_min_witness(s, x, y)
+        assert (res.witness.subset, res.minimal, res.checks_used) == expected
+        assert len(searched) < res.checks_used
 
 
 class TestRemark1:
