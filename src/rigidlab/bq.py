@@ -21,6 +21,13 @@ generated by sqrt(3) and the radicands of the set's own coordinates.
 Sets that admit neither (long chains, or figures whose clusters never
 pin a vertex) are refused via NotAnchored rather than under-enumerated:
 a certificate from a partial enumeration would be unsound.
+
+One enumeration keeps a site table (_SiteTable): every image position
+gets a number, exact positions interned by value, and the circle
+intersection of two anchor images, the unit test of a candidate against
+an anchor image and the distinct-anchor test are each computed once per
+pair of sites.  A braced figure meets few positions many times over, so
+the search repeats these decisions at many nodes but pays for each once.
 """
 
 from __future__ import annotations
@@ -227,13 +234,89 @@ def _origin_pair(backend: str, tol: float):
     return (Point.approx(0.0, 0.0, tol), Point.approx(1.0, 0.0, tol))
 
 
-def _anchor_circle_pair(images):
-    """First pair of distinct anchor images, in deterministic order."""
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            if not points_equal(images[i], images[j]):
-                return images[i], images[j]
-    return None
+class _SiteTable:
+    """The image positions of one enumeration, one numbered site each.
+
+    Exact points are interned by value, so every placement at one position
+    shares a site; FloatVal has no hash, so on the float backend every
+    computed point is a site of its own.  The arithmetic the search repeats
+    is memoized per pair of sites: a site number stays valid for the whole
+    enumeration, while the id() of a candidate dropped on backtrack may be
+    handed to a new point.
+    """
+
+    def __init__(self, exact: bool, field):
+        self.points = []
+        self.y_sign = []  # sign of a candidate site's y coordinate, else None
+        self._index = {} if exact else None
+        self._field = field
+        self._meets = {}
+        self._units = {}
+        self._same = {}
+        self._glued = {}
+
+    def site(self, p: Point) -> int:
+        """Site number of p: an equal exact point's, or a new one."""
+        if self._index is not None:
+            s = self._index.get(p)
+            if s is not None:
+                return s
+            self._index[p] = len(self.points)
+        self.points.append(p)
+        self.y_sign.append(None)
+        return len(self.points) - 1
+
+    def sites_of(self, pts) -> tuple:
+        return tuple(self.site(p) for p in pts)
+
+    def _candidates(self, pts) -> tuple:
+        """Sites of candidate points, each with its y sign computed once."""
+        out = self.sites_of(pts)
+        for s in out:
+            if self.y_sign[s] is None:
+                self.y_sign[s] = scalar_sign(self.points[s].y)
+        return out
+
+    def same(self, s: int, t: int) -> bool:
+        key = (s, t)
+        got = self._same.get(key)
+        if got is None:
+            got = self._same[key] = s == t or points_equal(self.points[s], self.points[t])
+        return got
+
+    def unit(self, s: int, t: int) -> bool:
+        key = (s, t)
+        got = self._units.get(key)
+        if got is None:
+            got = self._units[key] = is_unit(self.points[s], self.points[t])
+        return got
+
+    def meet(self, s: int, t: int) -> tuple:
+        """Sites on the unit circles about sites s and t."""
+        key = (s, t)
+        got = self._meets.get(key)
+        if got is None:
+            got = self._meets[key] = self._candidates(
+                circle_intersect(self.points[s], 1, self.points[t], 1, self._field))
+        return got
+
+    def glued(self, k: int, u: int, w: int, radii) -> tuple:
+        """Candidate sites of the cluster step at order position k, glued
+        at sites u and w."""
+        key = (k, u, w)
+        got = self._glued.get(key)
+        if got is None:
+            got = self._glued[key] = self._candidates(
+                _glue_candidates(self.points[u], self.points[w], radii, self._field))
+        return got
+
+    def anchor_pair(self, sites):
+        """First pair of distinct anchor sites, in deterministic order."""
+        for i in range(len(sites)):
+            for j in range(i + 1, len(sites)):
+                if not self.same(sites[i], sites[j]):
+                    return sites[i], sites[j]
+        return None
 
 
 def enumerate_unit_maps(T: PointSet, order: PlacementOrder = None,
@@ -247,6 +330,11 @@ def enumerate_unit_maps(T: PointSet, order: PlacementOrder = None,
     placement; the naive oracle uses both relaxations together with full
     leaf revalidation.  The nodes and prunes of cluster sub-figures count
     toward the result's totals and its branch limit.
+
+    `nodes` and `pruned` count search nodes, not arithmetic: intersections
+    and unit tests come from the enumeration's site table, computed once
+    per pair of image positions, so a node that meets a known pair costs
+    no field operation.  Maps share the Point object of each position.
     """
     if order is None:
         order = placement_order(T)
@@ -263,10 +351,14 @@ def _field_of(T: PointSet) -> tuple:
 
 
 def _distinct(values) -> list:
-    """Values in ascending order without repeats (tolerance-aware on floats)."""
+    """Values in ascending order without repeats (tolerance-aware on floats).
+
+    Each value is compared with every kept one: distinct exact values may
+    share a float, so equal values need not sort next to each other.
+    """
     out = []
     for r in sorted(values, key=float):
-        if not out or r != out[-1]:
+        if all(r != kept for kept in out):
             out.append(r)
     return out
 
@@ -316,10 +408,9 @@ def _enumerate(T, order, branch_limit, normalize_mirror, prune_anchors, field):
         iv = step.members.index(order.order[k])
         radii[k] = _distinct(dist2(m[iu], m[iv]) for m in sub.maps)
 
+    sites = _SiteTable(backend == "exact", field)
     o0, o1 = order.order[0], order.order[1]
-    base0, base1 = _origin_pair(backend, tol)
-    images[o0] = base0
-    images[o1] = base1
+    images[o0], images[o1] = sites.sites_of(_origin_pair(backend, tol))
 
     def place(k: int, off_axis_fixed: bool):
         if stats["truncated"]:
@@ -330,22 +421,20 @@ def _enumerate(T, order, branch_limit, normalize_mirror, prune_anchors, field):
         v = order.order[k]
         step = order.clusters[k]
         if step is None:
-            anchor_imgs = [images[a] for a in order.anchors[k]]
-            pair = _anchor_circle_pair(anchor_imgs)
+            pair = sites.anchor_pair([images[a] for a in order.anchors[k]])
             if pair is None:
                 raise NotAnchored(
                     "all anchor images coincide while placing a vertex; "
                     "candidate positions form a whole circle and cannot be enumerated"
                 )
-            candidates = circle_intersect(pair[0], 1, pair[1], 1, field)
+            candidates = sites.meet(*pair)
         else:
-            candidates = _glue_candidates(images[step.u], images[step.w],
-                                          radii[k], field)
+            candidates = sites.glued(k, images[step.u], images[step.w], radii[k])
         if not candidates:
             stats["pruned"] += 1
             return
         for cand in candidates:
-            sign_y = scalar_sign(cand.y)
+            sign_y = sites.y_sign[cand]
             if normalize_mirror and not off_axis_fixed and sign_y < 0:
                 # mirror image of the positive-y branch, not a contradiction
                 continue
@@ -353,15 +442,10 @@ def _enumerate(T, order, branch_limit, normalize_mirror, prune_anchors, field):
             if branch_limit is not None and stats["nodes"] > branch_limit:
                 stats["truncated"] = True
                 return
-            if prune_anchors:
-                ok = True
-                for a in order.anchors[k]:
-                    if not is_unit(cand, images[a]):
-                        ok = False
-                        break
-                if not ok:
-                    stats["pruned"] += 1
-                    continue
+            if prune_anchors and not all(sites.unit(cand, images[a])
+                                         for a in order.anchors[k]):
+                stats["pruned"] += 1
+                continue
             images[v] = cand
             place(k + 1, off_axis_fixed or sign_y != 0)
             images[v] = None
@@ -369,18 +453,12 @@ def _enumerate(T, order, branch_limit, normalize_mirror, prune_anchors, field):
                 return
 
     place(2, False)
-    key = _map_sort_key
-    maps.sort(key=key)
-    return UnitMapResult(tuple(maps), stats["nodes"], stats["pruned"], stats["truncated"])
-
-
-def _map_sort_key(images) -> tuple:
-    out = []
-    for p in images:
-        fx, fy = p.to_float_pair()
-        out.append(fx)
-        out.append(fy)
-    return tuple(out)
+    # lexicographic by the images' float coordinates; the sort is stable
+    points = sites.points
+    floats = [p.to_float_pair() for p in points]
+    maps.sort(key=lambda m: tuple(floats[s] for s in m))
+    return UnitMapResult(tuple(tuple(points[s] for s in m) for m in maps),
+                         stats["nodes"], stats["pruned"], stats["truncated"])
 
 
 @dataclass(frozen=True)
@@ -462,16 +540,20 @@ def _certify_indices(T, xi, yi, epsilon, order, branch_limit) -> CertReport:
         )
     worst_a2 = None
     counterexample = None
-    counter_key = None
+    # maps share the Point of each site, so one decision per pair of image
+    # objects; result.maps keeps every one alive, so no id() is reused
+    seen = {}
     for images in result.maps:
-        a2 = dist2(images[xi], images[yi])
-        if worst_a2 is None or compare_deviation(a2, worst_a2, b2) > 0:
-            worst_a2 = a2
-        if not sqrt_diff_within(a2, b2, eps):
-            key = _map_sort_key(images)
-            if counter_key is None or key < counter_key:
-                counterexample = images
-                counter_key = key
+        key = (id(images[xi]), id(images[yi]))
+        within = seen.get(key)
+        if within is None:
+            a2 = dist2(images[xi], images[yi])
+            if worst_a2 is None or compare_deviation(a2, worst_a2, b2) > 0:
+                worst_a2 = a2
+            within = seen[key] = sqrt_diff_within(a2, b2, eps)
+        # the maps come sorted, so the first violator is the least
+        if not within and counterexample is None:
+            counterexample = images
     max_dev = deviation_value(worst_a2, b2, tol) if worst_a2 is not None else None
     return CertReport(
         certified=counterexample is None,

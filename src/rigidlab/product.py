@@ -33,7 +33,13 @@ from .numeric import (
 )
 from .phi import Orientation, OrientationFamily, orientation_from_bits
 from .plane import TRIANGLE, PointSet, augment_tilde, unit_graph
-from .relations import RelStruct, WitnessSet, check_witness, enumerate_homs
+from .relations import (
+    RelStruct,
+    WitnessSet,
+    check_witness,
+    enumerate_homs,
+    is_connected_within,
+)
 
 
 @dataclass(frozen=True)
@@ -395,27 +401,6 @@ class VerifyResult:
         return self.valid
 
 
-def _witness_connected(P: ProductStruct, elements: tuple) -> bool:
-    elems = set(elements)
-    adj = {e: set() for e in elems}
-    for a, b in P.structure.pairs:
-        if a in elems and b in elems:
-            adj[a].add(b)
-            adj[b].add(a)
-    if not elems:
-        return True
-    start = next(iter(sorted(elems)))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(elems)
-
-
 def verify_product_witness(P: ProductStruct, witness: WitnessSet,
                            enumerate_all: bool = False) -> VerifyResult:
     """Exhaustive check that no pair-preserving map of the witness sends
@@ -428,7 +413,7 @@ def verify_product_witness(P: ProductStruct, witness: WitnessSet,
     first = check_witness(P.structure, witness)
     if first.valid:
         return VerifyResult(True, None, True, 0)
-    connected = _witness_connected(P, witness.subset)
+    connected = is_connected_within(P.structure, witness.subset)
     maps = [first.counterexample]
     if enumerate_all:
         sub = witness.subset

@@ -329,10 +329,7 @@ def find_min_witness(s: RelStruct, x: int, y: int, budget: int = 4096) -> MinWit
     if not checked(tuple(range(s.n))).valid:
         raise NoWitnessExists(f"an endomorphism maps {x} to {y}")
 
-    # neighbours[v]: the elements sharing a pair with v, loops dropped
-    _, tables = s._masks
-    neighbours = [(out | into) & ~(1 << v)
-                  for v, (out, into) in enumerate(zip(tables[1][0], tables[2][0]))]
+    neighbours = _neighbours(s)
     others = [i for i in range(s.n) if i != x]
     # the last candidate is the full universe, so the scan returns unless
     # the budget runs out
@@ -356,6 +353,26 @@ def find_min_witness(s: RelStruct, x: int, y: int, budget: int = 4096) -> MinWit
         if checked(tuple(trial)).valid:
             kept = trial
     return MinWitnessResult(WitnessSet(tuple(kept), x, y), False, checks)
+
+
+def _neighbours(s: RelStruct) -> list:
+    """Per element v, the mask of elements sharing a pair with v, loops
+    dropped, read off the structure's cached masks."""
+    _, tables = s._masks
+    return [(out | into) & ~(1 << v)
+            for v, (out, into) in enumerate(zip(tables[1][0], tables[2][0]))]
+
+
+def is_connected_within(s: RelStruct, subset) -> bool:
+    """Whether the pairs inside `subset`, taken as undirected edges,
+    connect it; the empty subset counts as connected."""
+    mask = 0
+    for v in subset:
+        mask |= 1 << v
+    if not mask:
+        return True
+    start = (mask & -mask).bit_length() - 1
+    return _component(_neighbours(s), start, mask) == mask
 
 
 def _component(neighbours, x: int, within: int) -> int:

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidlab.bq import (
+    DEFAULT_BRANCH_LIMIT,
+    _distinct,
     _glue_candidates,
     _ladder,
     bq_certify,
@@ -24,7 +26,17 @@ from rigidlab.errors import (
     NotAnchored,
     NotRepresentable,
 )
-from rigidlab.numeric import SQRT3, Point, QScalar, dist2, sqrt_exact
+from rigidlab.numeric import (
+    SQRT3,
+    Point,
+    QScalar,
+    circle_intersect,
+    dist2,
+    is_unit,
+    points_equal,
+    scalar_sign,
+    sqrt_exact,
+)
 from rigidlab.plane import (
     P0,
     P1,
@@ -34,7 +46,10 @@ from rigidlab.plane import (
     lattice_ball,
     lattice_point,
     unit_graph,
+    unit_path,
 )
+
+UNIT_DIRS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 
 
 class TestPlacementOrder:
@@ -109,6 +124,138 @@ def _join_rhombi(ps) -> set:
                 z = [(w - z[o0]) / (z[o1] - z[o0]) for w in z]
                 keys.add(canonical_map_key([Point.approx(w.real, w.imag) for w in z]))
     return keys
+
+
+def reference_unit_maps(T, order=None, branch_limit=DEFAULT_BRANCH_LIMIT, field=None):
+    """Plain enumerator in the engine's order, mirror rule and anchor
+    pruning: circle_intersect and is_unit are called afresh at every node.
+    A cluster's sub-figure is enumerated in the whole figure's field.
+    Returns (maps, nodes, pruned, truncated)."""
+    if order is None:
+        order = placement_order(T)
+    if T.backend == "exact":
+        if field is None:
+            field = tuple(sorted({3}.union(*(p.x.radicands + p.y.radicands for p in T))))
+        base = (Point(QScalar(0), QScalar(0)), Point(QScalar(1), QScalar(0)))
+    else:
+        field = None
+        base = (Point.approx(0.0, 0.0, T[0].x.tol), Point.approx(1.0, 0.0, T[0].x.tol))
+    n = len(T)
+    if n == 1:
+        return [(base[0],)], 1, 0, False
+    count = {"nodes": 0, "pruned": 0}
+    radii = {}
+    for k, step in enumerate(order.clusters):
+        if step is not None:
+            maps, nodes, pruned, truncated = reference_unit_maps(
+                T.subset(step.members), step.order, branch_limit, field)
+            count["nodes"] += nodes
+            count["pruned"] += pruned
+            if truncated:
+                return [], count["nodes"], count["pruned"], True
+            iu, iv = step.members.index(step.u), step.members.index(order.order[k])
+            radii[k] = []
+            for r in sorted((dist2(m[iu], m[iv]) for m in maps), key=float):
+                if all(r != kept for kept in radii[k]):
+                    radii[k].append(r)
+    images = [None] * n
+    images[order.order[0]], images[order.order[1]] = base
+    maps = []
+
+    def place(k, off_axis_fixed):
+        """Extend the partial map; True once the branch limit is passed."""
+        if k == n:
+            maps.append(tuple(images))
+            return False
+        step = order.clusters[k]
+        if step is None:
+            imgs = [images[a] for a in order.anchors[k]]
+            p, q = next((p, q) for i, p in enumerate(imgs) for q in imgs[i + 1:]
+                        if not points_equal(p, q))
+            candidates = circle_intersect(p, 1, q, 1, field)
+        else:
+            candidates = _glue_candidates(images[step.u], images[step.w], radii[k], field)
+        if not candidates:
+            count["pruned"] += 1
+        for cand in candidates:
+            sign_y = scalar_sign(cand.y)
+            if not off_axis_fixed and sign_y < 0:
+                continue
+            count["nodes"] += 1
+            if count["nodes"] > branch_limit:
+                return True
+            if not all(is_unit(cand, images[a]) for a in order.anchors[k]):
+                count["pruned"] += 1
+                continue
+            images[order.order[k]] = cand
+            if place(k + 1, off_axis_fixed or sign_y != 0):
+                return True
+        images[order.order[k]] = None
+        return False
+
+    truncated = place(2, False)
+    maps.sort(key=lambda m: [p.to_float_pair() for p in m])
+    return maps, count["nodes"], count["pruned"], truncated
+
+
+def _braced_path(y):
+    """A unit path from P0 to y with both apexes bracing each hop."""
+    vs = unit_path(P0, y).vertices
+    pts = list(vs)
+    for j in range(1, len(vs)):
+        pts.extend(circle_intersect(vs[j - 1], 1, vs[j], 1))
+    return PointSet(pts)
+
+
+def _assert_matches_reference(ps, branch_limit=DEFAULT_BRANCH_LIMIT):
+    res = enumerate_unit_maps(ps, branch_limit=branch_limit)
+    maps, nodes, pruned, truncated = reference_unit_maps(ps, branch_limit=branch_limit)
+    assert (res.nodes, res.pruned, res.truncated) == (nodes, pruned, truncated)
+    assert [list(m) for m in res.maps] == [list(m) for m in maps]
+    assert ([[p.to_float_pair() for p in m] for m in res.maps]
+            == [[p.to_float_pair() for p in m] for m in maps])
+    return res
+
+
+ORACLE_FIGURES = {
+    **{f"ladder{k}{d}": (lambda k=k, d=d: _ladder(P0, lattice_point(k * d[0], k * d[1]), k))
+       for k in (2, 3, 4, 5) for d in UNIT_DIRS},
+    **{f"braced{y}": (lambda y=y: _braced_path(lattice_point(*y)))
+       for y in ((2, 1), (1, 2), (3, 1), (-2, 3), (2, 2))},
+    "rhombus": lambda: gadget("rhombus").points,
+    "ball1": lambda: lattice_ball(1),
+    "spindle-exact": lambda: gadget("moser-spindle", backend="exact").points,
+    "spindle-float": lambda: gadget("moser-spindle").points,
+}
+
+
+class TestReferenceEnumerator:
+    """The engine computes each intersection and unit test once per pair
+    of image positions; a search that recomputes them at every node must
+    see the same maps in the same order, and count the same nodes."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_FIGURES))
+    def test_matches_reference(self, name):
+        _assert_matches_reference(ORACLE_FIGURES[name]())
+
+    @given(st.sampled_from(["ladder3(1, 0)", "braced(2, 1)", "ball1", "spindle-exact"]),
+           st.integers(0, 200))
+    @settings(max_examples=60, deadline=None)
+    def test_truncation_matches_reference(self, name, limit):
+        res = _assert_matches_reference(ORACLE_FIGURES[name](), branch_limit=limit)
+        assert res.truncated == (limit < enumerate_unit_maps(ORACLE_FIGURES[name]()).nodes)
+
+    @pytest.mark.parametrize("k,counts", [
+        (2, (31, 5, 11)), (3, (185, 32, 61)), (4, (1039, 181, 339)), (5, (5785, 1008, 1885)),
+    ])
+    def test_ladder_counts_pinned(self, k, counts):
+        res = enumerate_unit_maps(_ladder(P0, lattice_point(k, 0), k))
+        assert (res.nodes, res.pruned, len(res.maps)) == counts
+
+    def test_distinct_drops_every_repeat(self):
+        # 1 + 10**-30 has the float of 1, so the two 1s need not sort side by side
+        tiny = QScalar(1 + Fraction(1, 10**30))
+        assert _distinct([QScalar(1), tiny, QScalar(1)]) == [QScalar(1), tiny]
 
 
 class TestEnumeration:

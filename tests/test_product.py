@@ -20,9 +20,31 @@ from rigidlab.product import (
     witness_case1,
     witness_case2,
 )
-from rigidlab.relations import WitnessSet, check_witness
+from rigidlab.relations import WitnessSet, check_witness, is_connected_within
 
 lattice_pts = st.builds(lattice_point, st.integers(-6, 6), st.integers(-6, 6))
+
+UNIT_DIRS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+SQRT3_DIRS = ((1, 1), (-1, 2), (-2, 1), (-1, -1), (1, -2), (2, -1))
+
+
+def _case1_pairs():
+    """Every (x, y) of the case-1 families: an edge direction, a ladder of
+    k = 2..4 unit hops or a rhombus diagonal for x, and y on the positive
+    x axis at a gap that keeps the half-gap epsilon certifiable."""
+    def on_axis(m):
+        return Point(QScalar(m), QScalar(0))
+
+    out = [(f"edge{d}-{g}", lattice_point(*d), on_axis(g))
+           for d in UNIT_DIRS for g in range(4, 10)]
+    out += [(f"ladder{k}{d}-{k + g}", lattice_point(k * d[0], k * d[1]), on_axis(k + g))
+            for k in (2, 3, 4) for d in UNIT_DIRS for g in range(6, 10)]
+    out += [(f"rhombus{d}-{g}", lattice_point(*d), on_axis(g))
+            for d in SQRT3_DIRS for g in range(6, 10)]
+    return out
+
+
+CASE1_PAIRS = _case1_pairs()
 
 
 class TestBuildProduct:
@@ -143,6 +165,17 @@ class TestCase1:
         assert Q.structure.restrict(sub).pairs == P.structure.restrict(sub).pairs
         assert check_witness(Q.structure, built.witness).valid
 
+    @pytest.mark.parametrize("x,y", [pair[1:] for pair in CASE1_PAIRS],
+                             ids=[pair[0] for pair in CASE1_PAIRS])
+    def test_every_family_pair_verifies(self, x, y):
+        built = witness_case1(x, y)
+        assert built.strict_exclusion
+        assert verify_product_witness(built.product, built.witness).valid
+
+    def test_family_pairs_count(self):
+        # 6 edge directions x 6 gaps + 3 ladders x 6 x 4 + 6 rhombi x 4
+        assert len({(p[1], p[2]) for p in CASE1_PAIRS}) == 132
+
     def test_witness_contains_x_not_required_to_contain_y(self):
         built = witness_case1(lattice_point(1, 0), Point(QScalar(5), QScalar(0)))
         assert built.src in built.witness.subset
@@ -162,6 +195,28 @@ class TestCase1:
         verdict = verify_product_witness(P, WitnessSet((src,), src, tgt))
         assert not verdict.valid
         assert verdict.counterexample[src] == tgt
+
+
+class TestVerifyFiberAudit:
+    """Only a witness connected in the product graph is audited for maps
+    that straddle fibers; the counts are the ones the per-witness graph
+    search gave before connectivity came from the structure's masks."""
+
+    @pytest.mark.parametrize("subset,x,y,maps_checked", [
+        ((0, 1), 0, 7, 6),    # one S edge, connected
+        ((1, 4), 1, 8, 14),   # two S points sharing no pair
+        ((0, 8), 0, 7, 14),   # one point from each fiber
+    ])
+    def test_counts_pinned(self, subset, x, y, maps_checked):
+        ps, S, Z = _ball1_orientation_pair()
+        P = build_product(ps, [S, Z])
+        w = WitnessSet(subset, x, y)
+        assert is_connected_within(P.structure, subset) == (subset == (0, 1))
+        verdict = verify_product_witness(P, w, enumerate_all=True)
+        assert not verdict.valid
+        assert (verdict.fiber_consistent, verdict.maps_checked) == (True, maps_checked)
+        verdict = verify_product_witness(P, w)
+        assert (verdict.fiber_consistent, verdict.maps_checked) == (True, 1)
 
 
 class TestCase2:
