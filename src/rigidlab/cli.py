@@ -339,23 +339,14 @@ def _cmd_witness(args, config: RunConfig) -> int:
     S = orientation_from_bits(ps, args.s_bits)
     Z = orientation_from_bits(ps, args.z_bits)
     x = _parse_point(args.x, config)
-    built = witness_case2(x, S, Z, budget=config.branch_limit)
+    built = witness_case2(x, S, Z)
     verdict = verify_product_witness(built.product, built.witness)
     body = {
         "kind": "case2",
         "valid": verdict.valid,
         "witness_size": len(built.witness.subset),
         "whole_fiber": built.whole_fiber,
-        "pinned": built.pinned,
         "conflict": [built.conflict.ui, built.conflict.vi],
-        "certificates": [
-            {
-                "corner": c.corner_index,
-                "target": c.target_index,
-                "strategy": c.strategy,
-            }
-            for c in built.certificates
-        ],
     }
     _emit(dumps_canonical(_report("witness", config, body)), config)
     return EXIT_OK if verdict.valid else EXIT_VERIFY
@@ -450,6 +441,10 @@ def main(argv=None) -> int:
     try:
         return dispatch(sys.argv[1:] if argv is None else argv)
     except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ValueError as exc:
+        # a library argument check refused the input: no verdict was reached
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExhausted as exc:

@@ -4,11 +4,11 @@ plus the two witness constructions that separate product elements.
 The product relation links (point i, member S) to (point j, member Z)
 exactly when S = Z and S directs i toward j, so each member contributes a
 disjoint fiber.  Separating (x, S) from (y, S) for x != y rides on a
-distance certificate anchored at a triangle corner; separating (x, S)
-from (x, Z) for S != Z rides on an edge the two members orient oppositely.
-Both constructions end in a machine check: `verify_product_witness` does
-an exhaustive map search and owes nothing to the geometric reasoning that
-predicted its verdict.
+distance certificate anchored at a triangle corner.  Separating (x, S)
+from (x, Z) for S != Z needs an edge the two members orient oppositely,
+and offers the whole S fiber as the witness.  Both constructions end in
+a machine check: `verify_product_witness` does an exhaustive map search
+and owes nothing to the geometric reasoning that predicted its verdict.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bq import GrowResult, bq_certify, grow_witness
+from .bq import GrowResult, grow_witness
 from .errors import InconsistentDistances
 from .numeric import (
     DEFAULT_TOL,
@@ -24,7 +24,6 @@ from .numeric import (
     FloatVal,
     Point,
     QScalar,
-    circle_intersect,
     deviation_value,
     dist2,
     point_to_float,
@@ -231,17 +230,6 @@ def witness_case1(x: Point, y: Point, epsilon=None,
 
 
 @dataclass(frozen=True)
-class PinCertificate:
-    """Distance certificate tying one triangle corner to one conflict point."""
-
-    corner_index: int
-    target_index: int
-    points: PointSet
-    deviation: object
-    strategy: str
-
-
-@dataclass(frozen=True)
 class Case2Witness:
     """Separates (x, S) from (x, Z) for two members conflicting on an edge."""
 
@@ -250,99 +238,18 @@ class Case2Witness:
     src: int
     tgt: int
     conflict: ConflictEdge
-    path_indices: tuple
-    certificates: tuple
     whole_fiber: bool
-    pinned: bool
 
 
-def _bfs_path(X: PointSet, start: int, goal: int) -> tuple:
-    """Shortest unit path by index, smallest-neighbor-first tie break."""
-    adj = unit_graph(X).adjacency()
-    prev = {start: None}
-    frontier = [start]
-    while frontier and goal not in prev:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in prev:
-                    prev[w] = v
-                    nxt.append(w)
-        frontier = nxt
-    if goal not in prev:
-        raise ValueError("no unit path between x and p0 inside the base set")
-    path = [goal]
-    while prev[path[-1]] is not None:
-        path.append(prev[path[-1]])
-    return tuple(reversed(path))
-
-
-def _pin_certificates(X: PointSet, tri_idx: tuple, w_idx: int, budget: int) -> list:
-    """In-fragment certificates for the distances corner-to-w, best effort.
-
-    Only gadgets entirely inside X qualify; a unit edge certifies exactly,
-    a rhombus bounds the deviation by sqrt(3).
-    """
-    certs = []
-    w = X[w_idx]
-    if X.backend == "exact":
-        zero, rhombus_eps = QScalar(0), SQRT3
-    else:
-        tol = w.x.tol
-        zero, rhombus_eps = FloatVal(0.0, tol), FloatVal(math.sqrt(3.0), tol)
-    for ci in tri_idx:
-        corner = X[ci]
-        if points_equal(corner, w):
-            continue
-        d2 = dist2(corner, w)
-        cert = None
-        if d2 == 1:
-            T = PointSet([corner, w])
-            report = bq_certify(T, corner, w, zero, branch_limit=budget)
-            cert = PinCertificate(ci, w_idx, T, report.max_deviation, "edge")
-        elif d2 == 3:
-            hits = circle_intersect(corner, 1, w, 1)
-            if len(hits) == 2 and all(h in X for h in hits):
-                T = PointSet([corner, hits[0], hits[1], w])
-                report = bq_certify(T, corner, w, rhombus_eps, branch_limit=budget)
-                cert = PinCertificate(ci, w_idx, T, report.max_deviation, "rhombus")
-        if cert is not None:
-            certs.append(cert)
-    return certs
-
-
-def _pins_point_uniquely(X: PointSet, w_idx: int, certs: list) -> bool:
-    """Would any other point of X satisfy every certified distance band?"""
-    if not certs:
-        return False
-    w = X[w_idx]
-    for qi in range(len(X)):
-        if qi == w_idx:
-            continue
-        q = X[qi]
-        survives = True
-        for cert in certs:
-            corner = X[cert.corner_index]
-            if not sqrt_diff_within(dist2(corner, q), dist2(corner, w), cert.deviation):
-                survives = False
-                break
-        if survives:
-            return False
-    return True
-
-
-def witness_case2(x: Point, S: Orientation, Z: Orientation,
-                  budget: int = 500_000) -> Case2Witness:
+def witness_case2(x: Point, S: Orientation, Z: Orientation) -> Case2Witness:
     """Build and package a witness separating (x, S) from (x, Z).
 
-    Assembles the conflict edge, a unit path from x to p0, and per-corner
-    distance certificates for the conflict endpoints.  When the in-fragment
-    certificates fail to pin both endpoints uniquely, the witness falls
-    back to the whole S fiber, which is still finite and still checked
-    exhaustively.  That fallback is not always a witness: for some
-    orientation pairs of a finite fragment an endomorphism of the whole
-    product already sends (x, S) to (x, Z), so no witness exists there
-    and verify_product_witness reports the counterexample.
+    Finds the edge S and Z orient oppositely, which is what makes the two
+    members distinguishable, and offers the whole S fiber as the witness.
+    That fiber is not always a witness: for some orientation pairs of a
+    finite fragment an endomorphism of the whole product already sends
+    (x, S) to (x, Z), so no witness exists there and
+    verify_product_witness reports the counterexample.
     """
     X = S.base
     if Z.base != X:
@@ -353,40 +260,16 @@ def witness_case2(x: Point, S: Orientation, Z: Orientation,
     conflict = find_conflict_edge(S, Z)
     if conflict is None:
         raise ValueError("orientations agree on every singly-oriented edge")
-    tri_idx = X.triangle_indices()
-    path = _bfs_path(X, xi, tri_idx[0])
-
-    certs = []
-    pinned = True
-    for w_idx in (conflict.ui, conflict.vi):
-        here = _pin_certificates(X, tri_idx, w_idx, budget)
-        certs.extend(here)
-        if not _pins_point_uniquely(X, w_idx, here):
-            pinned = False
-
-    point_indices = set(tri_idx) | set(path) | {conflict.ui, conflict.vi}
-    for cert in certs:
-        for p in cert.points:
-            point_indices.add(X.index_of(p))
-    whole_fiber = not pinned
-    if whole_fiber:
-        point_indices = set(range(len(X)))
-
-    J = OrientationFamily(X, (S, Z))
-    P = build_product(X, J)
-    elements = tuple(sorted(P.element(i, 0) for i in point_indices))
+    P = build_product(X, OrientationFamily(X, (S, Z)))
     src = P.element(xi, 0)
     tgt = P.element(xi, 1)
     return Case2Witness(
         product=P,
-        witness=WitnessSet(elements, src, tgt),
+        witness=WitnessSet(tuple(P.element(i, 0) for i in range(len(X))), src, tgt),
         src=src,
         tgt=tgt,
         conflict=conflict,
-        path_indices=path,
-        certificates=tuple(certs),
-        whole_fiber=whole_fiber,
-        pinned=pinned,
+        whole_fiber=True,
     )
 
 

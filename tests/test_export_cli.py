@@ -2,7 +2,10 @@
 
 import json
 import os
+import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -160,9 +163,49 @@ class TestSvg:
         assert svg.count('stroke="#e09f3e"') == 2
 
 
+def _readme_tour():
+    """(command, expected exit) for each line of README's CLI tour block;
+    a line without an `# exit N` comment is expected to exit 0."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI tour\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    out = []
+    for line in block.splitlines():
+        cmd = line.split("#", 1)[0].strip()
+        if cmd:
+            m = re.search(r"#\s*exit (\d+)", line)
+            out.append((cmd, int(m.group(1)) if m else 0))
+    return out
+
+
+README_TOUR = _readme_tour()
+
+
 class TestCli:
     def run(self, *argv):
         return main(list(argv))
+
+    @pytest.mark.parametrize("argv", [
+        "lattice --radius -1",
+        "witness --kind case2 --radius 1 --s-bits 0 --z-bits 1 --x 5,0",
+        "witness --kind case2 --radius 1 --s-bits 0 --z-bits 0 --x 0,0",
+        "witness --kind case2 --radius 1 --s-bits 0 --z-bits 99999 --x 0,0",
+        "certify --gadget chain --chain-n 0 --x A --y B --epsilon 1",
+        "witness --kind case1 --x 0,0 --y 0,0",
+    ])
+    def test_rejected_arguments_exit_usage(self, argv, capsys):
+        assert self.run(*argv.split()) == 4
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("cmd,code", README_TOUR,
+                             ids=[cmd for cmd, _ in README_TOUR])
+    def test_readme_tour(self, cmd, code, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        save_json(relstruct_to_json(RelStruct(3, ((0, 1), (1, 2), (2, 0)))), "cycle3.json")
+        # a directed path: only its end stops (0) from following (1)
+        save_json(relstruct_to_json(RelStruct(3, ((0, 1), (1, 2)))), "rel.json")
+        argv = shlex.split(cmd)
+        assert argv[0] == "rigidlab"
+        assert self.run(*argv[1:]) == code
 
     def test_lattice_writes_seven_points(self, tmp_path):
         out = str(tmp_path / "ball1.json")
@@ -229,7 +272,10 @@ class TestCli:
                         "--s-bits", "0", "--z-bits", "1", "--x", "0,0",
                         "--out", out)
         assert code == 0
-        assert load_json(out)["valid"] is True
+        doc = load_json(out)
+        assert doc["valid"] is True and doc["whole_fiber"] is True
+        assert set(doc) == {"schema", "command", "config", "kind", "valid",
+                            "witness_size", "whole_fiber", "conflict"}
 
     def test_witness_min_no_witness(self, tmp_path):
         path = str(tmp_path / "c3.json")

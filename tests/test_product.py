@@ -1,6 +1,7 @@
 """Product structures, conflict edges, trilateration, and the two
 witness constructions with their exhaustive verifier."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from rigidlab.acceptance import _ball1_orientation_pair
 from rigidlab.errors import InconsistentDistances
 from rigidlab.numeric import FloatVal, Point, QScalar, dist2, points_equal
-from rigidlab.phi import OrientationFamily, orientation_from_bits
+from rigidlab.phi import OrientationFamily, count_orientations, orientation_from_bits
 from rigidlab.plane import P0, P1, P2, base_triangle, lattice_ball, lattice_point
 from rigidlab.product import (
     build_product,
@@ -45,6 +46,44 @@ def _case1_pairs():
 
 
 CASE1_PAIRS = _case1_pairs()
+
+
+def _case2_inputs():
+    """The two criterion-6 inputs, then 30 seeded draws over lattice balls
+    R = 1, 2, 3: random member bits (redrawn until they conflict) and a
+    random x."""
+    ps, S, Z = _ball1_orientation_pair()
+    i0, i1, _ = ps.triangle_indices()
+    out = [(ps[i0], S, Z), (ps[i1], S, Z)]
+    rng = random.Random(2026)
+    for k in range(30):
+        ps = lattice_ball(1 + k % 3)
+        m = count_orientations(ps).bit_length() - 1
+        while True:
+            S = orientation_from_bits(ps, rng.getrandbits(m))
+            Z = orientation_from_bits(ps, rng.getrandbits(m))
+            if find_conflict_edge(S, Z) is not None:
+                break
+        out.append((ps[rng.randrange(len(ps))], S, Z))
+    return out
+
+
+CASE2_INPUTS = _case2_inputs()
+# (valid, fiber_consistent, conflict ui, conflict vi) per input; draw 21
+# (R = 1) is an orientation pair whose product admits no witness
+CASE2_EXPECTED = [
+    (True, True, 4, 2), (True, True, 4, 2),
+    (True, True, 0, 1), (True, True, 0, 1), (True, True, 2, 0),
+    (True, True, 0, 3), (True, True, 0, 1), (True, True, 1, 0),
+    (True, True, 0, 1), (True, True, 0, 1), (True, True, 0, 3),
+    (True, True, 3, 0), (True, True, 1, 0), (True, True, 1, 0),
+    (True, True, 0, 2), (True, True, 0, 1), (True, True, 1, 0),
+    (True, True, 1, 0), (True, True, 2, 0), (True, True, 0, 2),
+    (True, True, 0, 3), (True, True, 2, 0), (True, True, 2, 0),
+    (False, True, 0, 1), (True, True, 1, 0), (True, True, 0, 1),
+    (True, True, 1, 0), (True, True, 0, 1), (True, True, 0, 1),
+    (True, True, 0, 2), (True, True, 0, 3), (True, True, 0, 2),
+]
 
 
 class TestBuildProduct:
@@ -231,11 +270,10 @@ class TestCase2:
             assert verdict.fiber_consistent
 
     def test_whole_fiber_fallback_reported(self):
-        # the radius-1 ball is too small for strict in-fragment pinning;
-        # construction must fall back and say so
+        # the witness is the whole S fiber, and construction says so
         ps, S, Z = _ball1_orientation_pair()
         built = witness_case2(ps[0], S, Z)
-        assert built.whole_fiber and not built.pinned
+        assert built.whole_fiber
         assert len(built.witness.subset) == len(ps)
 
     def test_requires_membership(self):
@@ -248,9 +286,34 @@ class TestCase2:
         with pytest.raises(ValueError):
             witness_case2(ps[0], S, S)
 
-    def test_certificates_recorded(self):
-        ps, S, Z = _ball1_orientation_pair()
-        built = witness_case2(ps[0], S, Z)
-        assert built.certificates
-        for cert in built.certificates:
-            assert cert.strategy in ("edge", "rhombus")
+    @pytest.mark.parametrize("k", range(len(CASE2_INPUTS)))
+    def test_contract(self, k):
+        # the expected values come from the earlier pin-certificate
+        # construction, which fell back to the whole fiber on every one of
+        # these inputs, so its verdicts must carry over unchanged
+        x, S, Z = CASE2_INPUTS[k]
+        built = witness_case2(x, S, Z)
+        P = built.product
+        assert built.whole_fiber
+        assert built.witness.subset == tuple(P.element(i, 0) for i in range(len(P.base)))
+        xi = P.base.index_of(x)
+        assert (built.src, built.tgt) == (P.element(xi, 0), P.element(xi, 1))
+        verdict = verify_product_witness(P, built.witness)
+        got = (verdict.valid, verdict.fiber_consistent,
+               built.conflict.ui, built.conflict.vi)
+        assert got == CASE2_EXPECTED[k]
+
+    def test_x_without_unit_path_to_p0(self):
+        # x has no unit neighbour, so nothing in the S fiber holds it back:
+        # the verifier finds the map sending (x, S) to (x, Z)
+        x = lattice_point(3, 0)
+        base = lattice_ball(1).with_points([x])
+        S = orientation_from_bits(base, 0)
+        Z = orientation_from_bits(base, 1)
+        built = witness_case2(x, S, Z)
+        assert built.whole_fiber
+        assert built.witness.subset == tuple(range(8))
+        assert (built.conflict.ui, built.conflict.vi) == (0, 1)
+        verdict = verify_product_witness(built.product, built.witness)
+        assert (verdict.valid, verdict.fiber_consistent) == (False, True)
+        assert verdict.counterexample[built.src] == built.tgt
