@@ -185,6 +185,13 @@ def _parse_epsilon(text: str, config: RunConfig):
     return parse_scalar(text)
 
 
+def _refuse_float(config: RunConfig, command: str) -> None:
+    # these verdicts never read coordinates, so a report naming the float
+    # backend would name one its verdict did not use
+    if config.backend == "float":
+        raise UsageError(f"{command} has no float backend; drop --backend float")
+
+
 def _emit(text: str, config: RunConfig) -> None:
     if config.out:
         write_text_atomic(config.out, text)
@@ -261,6 +268,7 @@ def _parse_pins(texts) -> dict:
 
 
 def _cmd_hom(args, config: RunConfig) -> int:
+    _refuse_float(config, "hom")
     src = relstruct_from_json(load_json(args.src))
     dst = relstruct_from_json(load_json(args.dst))
     pin = _parse_pins(args.pin)
@@ -276,6 +284,7 @@ def _cmd_hom(args, config: RunConfig) -> int:
 
 
 def _cmd_rigid(args, config: RunConfig) -> int:
+    _refuse_float(config, "rigid")
     s = relstruct_from_json(load_json(args.input))
     report = is_rigid(s)
     body = {"rigid": report.rigid, "endomorphisms": report.endo_count}
@@ -288,6 +297,7 @@ def _cmd_rigid(args, config: RunConfig) -> int:
 
 def _cmd_witness(args, config: RunConfig) -> int:
     if args.kind == "min":
+        _refuse_float(config, "witness --kind min")
         if not (args.input and args.x is not None and args.y is not None):
             raise UsageError("witness --kind min needs --input, --x, --y")
         s = relstruct_from_json(load_json(args.input))
@@ -411,6 +421,7 @@ def _cmd_product(args, config: RunConfig) -> int:
 
 
 def _cmd_verify_all(args, config: RunConfig) -> int:
+    _refuse_float(config, "verify-all")
     out_dir = config.out or "out"
     results = acceptance.run_all(seed=config.seed, out_dir=out_dir)
     all_ok = all(r.passed for r in results)

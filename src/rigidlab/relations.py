@@ -11,9 +11,15 @@ The target's successor, predecessor and two-way masks per element, with
 the OR of each mask list, are built on its first search and cached on the
 RelStruct.  Revising u against v is then D[u] &= OR of M[b] over b in
 D[v] (the cached OR when D[v] is full), and forward checking after
-v -> a is D[w] &= M[a].  Branching takes the unassigned variable with the
-fewest values, ties to the lowest index, and tries values in ascending
-order.
+v -> a is D[w] &= M[a].  That OR depends only on D[v] and the arc kind,
+so AC-3 computes it once per kind for each variable it pops.  Branching
+takes the unassigned variable with the fewest values, ties to the lowest
+index, and tries values in ascending order.
+
+find_min_witness scans candidate witnesses smallest-first and decides a
+candidate without a search when a rule proves it fails: the component
+rule for a disconnected candidate, and the extension rule when a
+counterexample kept for the candidate minus one element extends to it.
 """
 
 from __future__ import annotations
@@ -121,8 +127,11 @@ def enumerate_homs(src: RelStruct, dst: RelStruct, pin=None, limit=None) -> HomS
 
     Deterministic: the map list is sorted by image vector.  When `limit`
     cuts the search short the result is flagged truncated instead of
-    raising; a truncated list is still sorted but not complete.
+    raising; a truncated list is still sorted but not complete.  A limit
+    below 1 raises ValueError.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"hom limit must be at least 1, got {limit}")
     pin = dict(pin) if pin else {}
     for i, a in pin.items():
         if not (0 <= i < src.n and 0 <= a < dst.n):
@@ -145,17 +154,24 @@ def enumerate_homs(src: RelStruct, dst: RelStruct, pin=None, limit=None) -> HomS
         domains[i] &= 1 << a
     arcs = [[] for _ in range(n)]
     for (u, v), k in sorted(kind.items()):
-        arcs[u].append((v,) + tables[k])
+        arcs[u].append((v, k) + tables[k])
 
-    # AC-3 over variables: a shrunk domain re-revises its neighbours
+    # AC-3 over variables: a shrunk domain re-revises its neighbours.
+    # domains[v] stays fixed while v's arcs are revised, so each arc kind
+    # needs its support only once per pop
     queue = [v for v in range(n) if arcs[v]]
     queued = [bool(arcs[v]) for v in range(n)]
     while queue:
         v = queue.pop()
         queued[v] = False
-        for u, masks, full_or in arcs[v]:
+        dv = domains[v]
+        supports = [-1] * 4  # by arc kind, -1 until first needed
+        for u, k, masks, full_or in arcs[v]:
+            support = supports[k]
+            if support < 0:
+                support = supports[k] = _support(masks, full_or, dv, full)
             du = domains[u]
-            nu = du & _support(masks, full_or, domains[v], full)
+            nu = du & support
             if nu != du:
                 if not nu:
                     return HomSearchResult((), False, 0)
@@ -192,7 +208,7 @@ def enumerate_homs(src: RelStruct, dst: RelStruct, pin=None, limit=None) -> HomS
             nodes += 1
             assignment[var] = a
             saved = []
-            for w, masks, _ in arcs[var]:
+            for w, _, masks, _ in arcs[var]:
                 allowed = masks[a]
                 b = assignment[w]
                 if b >= 0:
@@ -306,7 +322,8 @@ def find_min_witness(s: RelStruct, x: int, y: int, budget: int = 4096) -> MinWit
     endomorphism already sends x to y.
 
     A check is either a hom search of the candidate or a decision by the
-    component rule, and both count alike against the budget.  The rule:
+    component rule or the extension rule, and all count alike against the
+    budget.  The component rule:
     let W's induced pairs, taken as undirected edges without loops, split
     W into components, and let C be the one holding x.  Every pair of W
     lies inside one component, so a map of C with x -> y extended by the
@@ -316,6 +333,19 @@ def find_min_witness(s: RelStruct, x: int, y: int, budget: int = 4096) -> MinWit
     scan has already searched it, and the scan only goes on past a failed
     search.  A disconnected candidate is therefore no witness, and it is
     decided without a search.
+
+    The extension rule reuses the counterexample h, a map of W - {v} with
+    x -> y preserving its pairs, kept for each failed connected candidate
+    one element smaller than W, for v in W other than x.  Let `allowed`
+    be the elements a with (a, h(u)) a pair for every pair (v, u), u in
+    W - {v}, with (h(u), a) a pair for every pair (u, v), and with (a, a)
+    a pair if (v, v) is one.  Any a in `allowed` makes h + {v -> a} a map
+    of W with x -> y: a pair of W either avoids v and lies in W - {v},
+    or is one of the pairs just listed.  W is then no witness, and the
+    extended map is kept for the next size.  Only a failing candidate can
+    be decided this way, so every valid candidate is still searched, and
+    the scan's verdicts, order and check count are those of searching
+    every connected candidate.
     """
     if x == y:
         raise ValueError("witness search requires x != y")
@@ -332,18 +362,31 @@ def find_min_witness(s: RelStruct, x: int, y: int, budget: int = 4096) -> MinWit
     neighbours = _neighbours(s)
     others = [i for i in range(s.n) if i != x]
     # the last candidate is the full universe, so the scan returns unless
-    # the budget runs out
-    candidates = ((x,) + rest for size in range(s.n) for rest in combinations(others, size))
-    for subset in candidates:
-        if checks >= budget:
-            break
-        mask = 0
-        for v in subset:
-            mask |= 1 << v
-        if _component(neighbours, x, mask) != mask:
-            checks += 1  # decided by the component rule: no witness
-        elif checked(subset).valid:
-            return MinWitnessResult(WitnessSet(subset, x, y), True, checks)
+    # the budget runs out; once it has, every later candidate breaks at once
+    current = {}
+    for size in range(s.n):
+        # counterexamples of the failed connected candidates, by bitmask:
+        # those one element smaller, and those of this size
+        previous, current = current, {}
+        for rest in combinations(others, size):
+            if checks >= budget:
+                break
+            subset = (x,) + rest
+            mask = 0
+            for v in subset:
+                mask |= 1 << v
+            if _component(neighbours, x, mask) != mask:
+                checks += 1  # decided by the component rule: no witness
+                continue
+            h = _extend_counterexample(s, previous, rest, mask)
+            if h is not None:
+                checks += 1  # decided by the extension rule: no witness
+            else:
+                result = checked(subset)
+                if result.valid:
+                    return MinWitnessResult(WitnessSet(subset, x, y), True, checks)
+                h = result.counterexample
+            current[mask] = h
 
     # validity is monotone under growing the subset, so dropping each
     # element whose removal keeps the subset valid ends inclusion-minimal
@@ -353,6 +396,34 @@ def find_min_witness(s: RelStruct, x: int, y: int, budget: int = 4096) -> MinWit
         if checked(tuple(trial)).valid:
             kept = trial
     return MinWitnessResult(WitnessSet(tuple(kept), x, y), False, checks)
+
+
+def _extend_counterexample(s: RelStruct, known: dict, rest, mask: int):
+    """A counterexample for the candidate `mask` made by giving one v of
+    `rest` (the candidate without x) an image on top of the counterexample
+    `known` holds for the candidate without v; None when there is none."""
+    loop_mask, tables = s._masks
+    succ, pred = tables[1][0], tables[2][0]
+    full = (1 << s.n) - 1
+    for v in rest:
+        h = known.get(mask ^ 1 << v)
+        if h is None:
+            continue
+        bit = 1 << v
+        # (v, u) needs a pair (a, h[u]) and (u, v) a pair (h[u], a)
+        allowed = loop_mask if succ[v] & bit else full
+        out, into = succ[v] & mask & ~bit, pred[v] & mask & ~bit
+        while out and allowed:
+            low = out & -out
+            out ^= low
+            allowed &= pred[h[low.bit_length() - 1]]
+        while into and allowed:
+            low = into & -into
+            into ^= low
+            allowed &= succ[h[low.bit_length() - 1]]
+        if allowed:
+            return {**h, v: (allowed & -allowed).bit_length() - 1}
+    return None
 
 
 def _neighbours(s: RelStruct) -> list:

@@ -196,6 +196,24 @@ class TestCli:
         assert self.run(*argv.split()) == 4
         assert capsys.readouterr().err.startswith("usage error: ")
 
+    @pytest.mark.parametrize("argv", [
+        # these verdicts never read coordinates, so no report may say float
+        "hom --src c3.json --dst c3.json --backend float",
+        "rigid --input c3.json --backend float",
+        "witness --kind min --input c3.json --x 0 --y 1 --backend float",
+        "verify-all --out va --backend float",
+        "hom --src c3.json --dst c3.json --hom-limit 0",
+        "hom --src c3.json --dst c3.json --hom-limit -2",
+    ])
+    def test_refused_before_any_output(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        save_json(relstruct_to_json(RelStruct(3, ((0, 1), (1, 2), (2, 0)))), "c3.json")
+        assert self.run(*argv.split()) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: ")
+        assert captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == ["c3.json"]
+
     @pytest.mark.parametrize("cmd,code", README_TOUR,
                              ids=[cmd for cmd, _ in README_TOUR])
     def test_readme_tour(self, cmd, code, tmp_path, monkeypatch):

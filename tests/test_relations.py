@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidlab import phi, plane, product, relations
+from rigidlab import acceptance, phi, plane, product, relations
 from rigidlab.errors import BudgetExhausted, NoWitnessExists
 from rigidlab.relations import (
     RelStruct,
@@ -96,6 +96,12 @@ class TestEnumerateHoms:
         res = enumerate_homs(empty, empty, limit=5)
         assert res.truncated and len(res.maps) == 5
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_rejected(self, limit):
+        c3 = RelStruct(3, ((0, 1), (1, 2), (2, 0)))
+        with pytest.raises(ValueError, match="at least 1"):
+            enumerate_homs(c3, c3, limit=limit)
+
     def test_empty_domain(self):
         res = enumerate_homs(RelStruct(0, ()), RelStruct(2, ()))
         assert res.maps == ((),)
@@ -141,6 +147,68 @@ class TestEnumerateHoms:
     def test_identity_always_an_endomorphism(self, s):
         maps = enumerate_homs(s, s).maps
         assert tuple(range(s.n)) in maps
+
+
+@pytest.fixture(scope="module")
+def pinned_search_inputs():
+    """name -> (src, dst, pin) for the pinned search counts below."""
+    c3 = RelStruct(3, ((0, 1), (1, 2), (2, 0)))
+    path = RelStruct(4, ((0, 1), (1, 2), (2, 3)))
+    loops = RelStruct(3, ((0, 0), (0, 1), (1, 2), (2, 1)))
+    out = {"c3": (c3, c3, None), "path-c3": (path, c3, None),
+           "c3-loops": (c3, loops, None), "path-loops": (path, loops, None),
+           "empty3": (RelStruct(3, ()), RelStruct(3, ()), None)}
+    # the fiber checks of criterion 6's two case-2 witnesses
+    ps, S, Z = acceptance._ball1_orientation_pair()
+    i0, i1, _ = ps.triangle_indices()
+    for name, x in (("crit6-center", ps[i0]), ("crit6-ring", ps[i1])):
+        built = product.witness_case2(x, S, Z)
+        out[name] = _fiber_check(built.product.structure, built.witness.subset,
+                                 built.src, built.tgt)
+    out["crit6-endo"] = (built.product.structure, built.product.structure, None)
+    # the full-universe check of a minimize pool input at p0, and the
+    # whole-fiber check of a pair with no witness
+    ball2 = plane.lattice_ball(2)
+    P = product.build_product(ball2, [phi.orientation_from_bits(ball2, b)
+                                      for b in (138253369779, 18153949995)])
+    out["pool-p0"] = _fiber_check(P.structure, range(P.structure.n),
+                                  P.element(0, 0), P.element(0, 1))
+    built = product.witness_case2(ball2[4], phi.orientation_from_bits(ball2, 357706255478),
+                                  phi.orientation_from_bits(ball2, 494293321939))
+    out["no-witness"] = _fiber_check(built.product.structure, built.witness.subset,
+                                     built.src, built.tgt)
+    return out
+
+
+def _fiber_check(s, subset, x, y):
+    sub = tuple(subset)
+    return s.restrict(sub), s, {sub.index(x): y}
+
+
+class TestPinnedSearchCounts:
+    """(len(maps), nodes, truncated) of enumerate_homs, recorded before AC-3
+    shared one support per arc kind: the search tree must not change."""
+
+    @pytest.mark.parametrize("name,limit,expected", [
+        ("c3", 1, (1, 3, True)), ("c3", 2, (2, 6, True)),
+        ("c3", 5, (3, 9, False)), ("c3", None, (3, 9, False)),
+        ("path-c3", 1, (1, 4, True)), ("path-c3", 2, (2, 8, True)),
+        ("path-c3", None, (3, 12, False)),
+        ("c3-loops", 1, (1, 3, True)), ("c3-loops", 2, (1, 7, False)),
+        ("path-loops", 1, (1, 4, True)), ("path-loops", 2, (2, 5, True)),
+        ("path-loops", 5, (5, 14, True)), ("path-loops", None, (6, 18, False)),
+        ("empty3", 1, (1, 3, True)), ("empty3", 5, (5, 8, True)),
+        ("empty3", None, (27, 39, False)),
+        ("crit6-center", 1, (0, 0, False)), ("crit6-center", None, (0, 0, False)),
+        ("crit6-ring", 1, (0, 0, False)), ("crit6-ring", None, (0, 0, False)),
+        ("crit6-endo", 1, (1, 23, True)), ("crit6-endo", None, (1, 40, False)),
+        ("pool-p0", 1, (0, 0, False)),
+        ("no-witness", 1, (1, 19, True)), ("no-witness", None, (2, 20, False)),
+    ])
+    def test_counts(self, name, limit, expected, pinned_search_inputs):
+        src, dst, pin = pinned_search_inputs[name]
+        res = enumerate_homs(src, dst, pin=pin, limit=limit)
+        assert (len(res.maps), res.nodes, res.truncated) == expected
 
 
 class TestRigid:
@@ -250,8 +318,9 @@ class TestWitness:
 
 
 class TestMinWitnessOracle:
-    """find_min_witness decides disconnected candidates without a search;
-    the plain scan that searches each one must give the same result."""
+    """find_min_witness decides disconnected candidates, and candidates a
+    kept counterexample extends to, without a search; the plain scan that
+    searches each one must give the same result."""
 
     @given(st.data())
     @settings(max_examples=500, deadline=None)
@@ -273,6 +342,43 @@ class TestMinWitnessOracle:
         res = find_min_witness(s, x, y, **kwargs)
         assert (res.witness.subset, res.minimal, res.checks_used) == expected
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_plain_scan_dense(self, data):
+        # larger and denser than above, so that small candidates fail often
+        # and the extension rule decides many of them; loops stay rarer, as
+        # a loop at y maps everything to y and leaves no witness at all
+        n = data.draw(st.integers(3, 9))
+        keep = data.draw(st.integers(3, 9))
+        marks = data.draw(st.lists(st.integers(0, 9), min_size=n * n, max_size=n * n))
+        s = RelStruct(n, tuple((i, j) for i in range(n) for j in range(n)
+                               if marks[i * n + j] < (keep if i != j else 1)))
+        x = data.draw(st.integers(0, n - 1))
+        y = data.draw(st.sampled_from([v for v in range(n) if v != x]))
+        budget = data.draw(st.none() | st.integers(1, 200))
+        kwargs = {} if budget is None else {"budget": budget}
+        try:
+            expected = reference_min_witness(s, x, y, **kwargs)
+        except NoWitnessExists:
+            with pytest.raises(NoWitnessExists):
+                find_min_witness(s, x, y, **kwargs)
+            return
+        res = find_min_witness(s, x, y, **kwargs)
+        assert (res.witness.subset, res.minimal, res.checks_used) == expected
+
+    def test_extended_candidate_counted_unsearched(self, monkeypatch):
+        # (0,) fails by 0 -> 1; (1, 0) is a pair and so is (2, 1), so 1 -> 2
+        # extends that map to {0, 1}, which is decided without a search;
+        # {0, 2} admits no extension and is searched: a witness
+        s = RelStruct(3, ((0, 2), (1, 0), (2, 0), (2, 1)))
+        searched = []
+        real = relations.check_witness
+        monkeypatch.setattr(relations, "check_witness",
+                            lambda *args: searched.append(args[1].subset) or real(*args))
+        res = find_min_witness(s, 0, 1)
+        assert (res.witness.subset, res.minimal, res.checks_used) == ((0, 2), True, 4)
+        assert searched == [(0, 1, 2), (0,), (0, 2)]
+
     def test_disconnected_candidate_counted_unsearched(self, monkeypatch):
         # {0, 1} has no pair joining 0 and 1, so it is decided without a
         # search; {0, 2} is a witness, since no successor of 1 has a loop
@@ -288,9 +394,10 @@ class TestMinWitnessOracle:
     @pytest.mark.parametrize("bits,expected", [
         # x = p0 in two inputs of bench/minimize_pool.json, with the
         # results of the plain scan: an origin input, and one whose scan
-        # outruns the budget
-        ((138253369779, 18153949995), ((0, 3, 5, 6), True, 1964)),
-        ((121525150946, 187724881616), ((0, 3, 5, 14, 16), False, 4133)),
+        # outruns the budget; last, the hom searches made, full universe
+        # included, which were 127 and 212 before the extension rule
+        ((138253369779, 18153949995), ((0, 3, 5, 6), True, 1964, 7)),
+        ((121525150946, 187724881616), ((0, 3, 5, 14, 16), False, 4133, 43)),
     ])
     def test_checks_used_pinned(self, bits, expected, monkeypatch):
         ps = plane.lattice_ball(2)
@@ -301,8 +408,7 @@ class TestMinWitnessOracle:
         monkeypatch.setattr(relations, "check_witness",
                             lambda *args: searched.append(1) or real(*args))
         res = find_min_witness(s, x, y)
-        assert (res.witness.subset, res.minimal, res.checks_used) == expected
-        assert len(searched) < res.checks_used
+        assert (res.witness.subset, res.minimal, res.checks_used, len(searched)) == expected
 
 
 class TestRemark1:
