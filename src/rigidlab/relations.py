@@ -16,6 +16,23 @@ so AC-3 computes it once per kind for each variable it pops.  Branching
 takes the unassigned variable with the fewest values, ties to the lowest
 index, and tries values in ascending order.
 
+AC-3's queue is first in first out.  It starts with the variables whose
+domain the pin or a loop already shrank, then the rest, each group in
+index order, so a pin's contradiction is found before near-full domains
+are walked.  The order cannot change a result.  Call a family of
+sub-domains arc-consistent when each value of u has a support in D[v]
+for every arc between u and v; a union of such families is one, so a
+largest, L, lies inside the starting domains.  A revision drops only
+values without support in the current domains, which by induction
+contain L, so it never drops a value of L.  Every variable with an arc
+starts in the queue and is queued again whenever its domain shrinks, so
+when the queue empties every arc is consistent: the domains are an
+arc-consistent family containing L, hence L, in any order.  Without a
+wipeout the search thus starts from the same domains and gives the same
+maps, nodes and truncated flag.  A wipeout in one order means L has an
+empty domain, and then every order either wipes out or leaves that
+domain empty, which skips the search: no maps, not truncated, 0 nodes.
+
 find_min_witness scans candidate witnesses smallest-first and decides a
 candidate without a search when a rule proves it fails: the component
 rule for a disconnected candidate, and the extension rule when a
@@ -156,13 +173,17 @@ def enumerate_homs(src: RelStruct, dst: RelStruct, pin=None, limit=None) -> HomS
     for (u, v), k in sorted(kind.items()):
         arcs[u].append((v, k) + tables[k])
 
-    # AC-3 over variables: a shrunk domain re-revises its neighbours.
+    # AC-3 over variables, first in first out from the variables the pin
+    # or a loop shrank: a shrunk domain re-revises its neighbours.
     # domains[v] stays fixed while v's arcs are revised, so each arc kind
     # needs its support only once per pop
-    queue = [v for v in range(n) if arcs[v]]
+    queue = ([v for v in range(n) if arcs[v] and domains[v] != full]
+             + [v for v in range(n) if arcs[v] and domains[v] == full])
     queued = [bool(arcs[v]) for v in range(n)]
-    while queue:
-        v = queue.pop()
+    head = 0
+    while head < len(queue):
+        v = queue[head]
+        head += 1
         queued[v] = False
         dv = domains[v]
         supports = [-1] * 4  # by arc kind, -1 until first needed
@@ -319,7 +340,7 @@ def find_min_witness(s: RelStruct, x: int, y: int, budget: int = 4096) -> MinWit
     is returned with minimal=False; this fallback may spend up to n-1
     checks beyond the budget, and checks_used counts them.
     NoWitnessExists is raised when even the full universe fails, i.e. some
-    endomorphism already sends x to y.
+    endomorphism already sends x to y.  A budget below 1 raises ValueError.
 
     A check is either a hom search of the candidate or a decision by the
     component rule or the extension rule, and all count alike against the
@@ -349,6 +370,8 @@ def find_min_witness(s: RelStruct, x: int, y: int, budget: int = 4096) -> MinWit
     """
     if x == y:
         raise ValueError("witness search requires x != y")
+    if budget < 1:
+        raise ValueError(f"witness budget must be at least 1, got {budget}")
     checks = 0
 
     def checked(subset) -> WitnessCheck:

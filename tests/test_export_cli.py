@@ -204,6 +204,7 @@ class TestCli:
         "verify-all --out va --backend float",
         "hom --src c3.json --dst c3.json --hom-limit 0",
         "hom --src c3.json --dst c3.json --hom-limit -2",
+        "witness --kind min --input c3.json --x 0 --y 1 --budget 0",
     ])
     def test_refused_before_any_output(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidlab import acceptance, phi, plane, product, relations
-from rigidlab.errors import BudgetExhausted, NoWitnessExists
+from rigidlab.errors import NoWitnessExists
 from rigidlab.relations import (
     RelStruct,
     WitnessSet,
@@ -35,6 +35,101 @@ def structs(draw, n_max=4):
     pool = [(i, j) for i in range(n) for j in range(n)]
     pairs = draw(st.sets(st.sampled_from(pool)))
     return RelStruct(n, tuple(pairs))
+
+
+def reference_homs(src, dst, pin=None, limit=None):
+    """enumerate_homs with its earlier AC-3 queue, popped last in first out
+    over every variable with an arc: (maps, nodes, truncated)."""
+    pin = dict(pin) if pin else {}
+    n = src.n
+    full = (1 << dst.n) - 1
+    loop_mask, tables = dst._masks
+    kind = {}
+    domains = [full] * n
+    for i, j in src.pairs:
+        if i == j:
+            domains[i] &= loop_mask
+        else:
+            kind[i, j] = kind.get((i, j), 0) | 1
+            kind[j, i] = kind.get((j, i), 0) | 2
+    for i, a in pin.items():
+        domains[i] &= 1 << a
+    arcs = [[] for _ in range(n)]
+    for (u, v), k in sorted(kind.items()):
+        arcs[u].append((v, k) + tables[k])
+    queue = [v for v in range(n) if arcs[v]]
+    queued = [bool(arcs[v]) for v in range(n)]
+    while queue:
+        v = queue.pop()
+        queued[v] = False
+        dv = domains[v]
+        supports = [-1] * 4
+        for u, k, masks, full_or in arcs[v]:
+            support = supports[k]
+            if support < 0:
+                support = supports[k] = relations._support(masks, full_or, dv, full)
+            du = domains[u]
+            nu = du & support
+            if nu != du:
+                if not nu:
+                    return (), 0, False
+                domains[u] = nu
+                if not queued[u]:
+                    queued[u] = True
+                    queue.append(u)
+
+    maps = []
+    nodes = 0
+    truncated = False
+    assignment = [-1] * n
+
+    def search():
+        nonlocal nodes, truncated
+        var = -1
+        best = dst.n + 1
+        for i in range(n):
+            if assignment[i] < 0:
+                size = domains[i].bit_count()
+                if size < best:
+                    var, best = i, size
+        if var < 0:
+            maps.append(tuple(assignment))
+            if limit is not None and len(maps) >= limit:
+                truncated = True
+            return
+        rest = domains[var]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            a = low.bit_length() - 1
+            nodes += 1
+            assignment[var] = a
+            saved = []
+            for w, _, masks, _ in arcs[var]:
+                allowed = masks[a]
+                b = assignment[w]
+                if b >= 0:
+                    if not allowed >> b & 1:
+                        break
+                    continue
+                dw = domains[w]
+                nw = dw & allowed
+                if not nw:
+                    break
+                if nw != dw:
+                    saved.append((w, dw))
+                    domains[w] = nw
+            else:
+                search()
+            for w, dw in saved:
+                domains[w] = dw
+            assignment[var] = -1
+            if truncated:
+                return
+
+    if all(domains):
+        search()
+    return tuple(sorted(maps)), nodes, truncated
 
 
 def reference_min_witness(s, x, y, budget=4096):
@@ -148,6 +243,20 @@ class TestEnumerateHoms:
         maps = enumerate_homs(s, s).maps
         assert tuple(range(s.n)) in maps
 
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_queue_order_keeps_search(self, data):
+        # AC-3 reaches the same domains in any queue order, so the search
+        # tree of the earlier last-in-first-out queue must come back
+        src, dst = data.draw(structs(n_max=8)), data.draw(structs(n_max=8))
+        pin = data.draw(st.dictionaries(st.integers(0, src.n - 1),
+                                        st.integers(0, dst.n - 1), max_size=3))
+        # no limit only where at most 8 ** 4 maps can come back
+        limits = st.integers(1, 64)
+        limit = data.draw(limits if src.n > 4 else st.none() | limits)
+        res = enumerate_homs(src, dst, pin=pin, limit=limit)
+        assert (res.maps, res.nodes, res.truncated) == reference_homs(src, dst, pin, limit)
+
 
 @pytest.fixture(scope="module")
 def pinned_search_inputs():
@@ -177,6 +286,10 @@ def pinned_search_inputs():
                                   phi.orientation_from_bits(ball2, 494293321939))
     out["no-witness"] = _fiber_check(built.product.structure, built.witness.subset,
                                      built.src, built.tgt)
+    # the same pair's full-universe check, which finds an endomorphism
+    out["no-witness-full"] = _fiber_check(built.product.structure,
+                                          range(built.product.structure.n),
+                                          built.src, built.tgt)
     return out
 
 
@@ -204,11 +317,25 @@ class TestPinnedSearchCounts:
         ("crit6-endo", 1, (1, 23, True)), ("crit6-endo", None, (1, 40, False)),
         ("pool-p0", 1, (0, 0, False)),
         ("no-witness", 1, (1, 19, True)), ("no-witness", None, (2, 20, False)),
+        ("no-witness-full", 1, (1, 47, True)), ("no-witness-full", 2, (2, 81, True)),
+        ("no-witness-full", None, (2, 86, False)),
     ])
     def test_counts(self, name, limit, expected, pinned_search_inputs):
         src, dst, pin = pinned_search_inputs[name]
         res = enumerate_homs(src, dst, pin=pin, limit=limit)
         assert (len(res.maps), res.nodes, res.truncated) == expected
+
+    def test_pinned_check_support_calls(self, pinned_search_inputs, monkeypatch):
+        # AC-3 starts from the pinned variable, so the pool's full-universe
+        # check wipes out after 13 supports; the last-in-first-out queue
+        # over all 38 variables computed 291
+        calls = []
+        real = relations._support
+        monkeypatch.setattr(relations, "_support",
+                            lambda *args: calls.append(1) or real(*args))
+        src, dst, pin = pinned_search_inputs["pool-p0"]
+        assert not enumerate_homs(src, dst, pin=pin, limit=1).maps
+        assert len(calls) <= 20
 
 
 class TestRigid:
@@ -266,17 +393,20 @@ class TestWitness:
         with pytest.raises(NoWitnessExists):
             find_min_witness(c3, 0, 1)
 
-    def test_budget_exhausted_carries_partial(self):
+    def test_budget_one_falls_back_to_deletion(self):
+        # the full-universe check spends the only check, so the deletion
+        # filter returns a valid witness that is not claimed minimal
         s = RelStruct(4, ((0, 2), (1, 0), (2, 3)))
-        try:
-            find_min_witness(s, 0, 1, budget=1)
-        except BudgetExhausted as exc:
-            assert exc.partial is not None
-        else:
-            # tiny budgets may still finish on small structures; then the
-            # witness must at least verify
-            res = find_min_witness(s, 0, 1, budget=1)
-            assert check_witness(s, res.witness).valid
+        res = find_min_witness(s, 0, 1, budget=1)
+        assert not res.minimal
+        assert res.checks_used <= s.n
+        assert check_witness(s, res.witness).valid
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected(self, budget):
+        s = RelStruct(4, ((0, 2), (1, 0), (2, 3)))
+        with pytest.raises(ValueError, match="at least 1"):
+            find_min_witness(s, 0, 1, budget=budget)
 
     def test_budget_fallback_returns_valid_witness(self):
         # at x = p0 this product's smallest witness lies beyond the scan
@@ -409,6 +539,25 @@ class TestMinWitnessOracle:
                             lambda *args: searched.append(1) or real(*args))
         res = find_min_witness(s, x, y)
         assert (res.witness.subset, res.minimal, res.checks_used, len(searched)) == expected
+
+    @pytest.mark.parametrize("bits,xi,expected", [
+        # more inputs of bench/minimize_pool.json, bits and x's point index
+        # copied from it, with the results of the plain scan: three origin
+        # inputs, three random ones and two whose scan outruns the budget
+        ((63116184789, 94625185273), 0, ((0, 1, 2, 3), True, 706)),
+        ((33550908543, 357632869863), 0, ((0, 4, 5, 6), True, 2492)),
+        ((116846431808, 344586531391), 0, ((0, 1, 3, 5), True, 742)),
+        ((63116184789, 94625185273), 9, ((1, 2, 8, 9), True, 1341)),
+        ((18810312226, 373260849319), 18, ((6, 15, 18), True, 249)),
+        ((472122706874, 142754519382), 9, ((9, 11), True, 13)),
+        ((468004163866, 257631332903), 6, ((6, 15, 17, 18), False, 4133)),
+        ((143722297303, 172487088839), 0, ((0, 4, 5, 6, 14, 16, 17), False, 4133)),
+    ])
+    def test_pool_results_pinned(self, bits, xi, expected):
+        ps = plane.lattice_ball(2)
+        P = product.build_product(ps, [phi.orientation_from_bits(ps, b) for b in bits])
+        res = find_min_witness(P.structure, P.element(xi, 0), P.element(xi, 1))
+        assert (res.witness.subset, res.minimal, res.checks_used) == expected
 
 
 class TestRemark1:
