@@ -26,7 +26,8 @@ One enumeration keeps a site table (_SiteTable): every image position
 gets a number, exact positions interned by value, and the circle
 intersection of two anchor images, the unit test of a candidate against
 an anchor image and the distinct-anchor test are each computed once per
-pair of sites.  A braced figure meets few positions many times over, so
+pair of sites; an exact intersection once per difference of the two
+anchor images.  A braced figure meets few positions many times over, so
 the search repeats these decisions at many nodes but pays for each once.
 """
 
@@ -243,6 +244,14 @@ class _SiteTable:
     is memoized per pair of sites: a site number stays valid for the whole
     enumeration, while the id() of a candidate dropped on backtrack may be
     handed to a new point.
+
+    On the exact backend two unit circles meet at offsets from the first
+    centre that depend only on the difference d of the centres, so the
+    intersection is computed once per d, about the origin, and translated.
+    Translation is exact and keeps the lexicographic order, so the points,
+    their order and any NotRepresentable are those of a direct intersection.
+    Exact intersection points lie on both circles, so their unit tests
+    against the two centres are recorded as true without computing them.
     """
 
     def __init__(self, exact: bool, field):
@@ -250,6 +259,7 @@ class _SiteTable:
         self.y_sign = []  # sign of a candidate site's y coordinate, else None
         self._index = {} if exact else None
         self._field = field
+        self._offsets = {} if exact else None
         self._meets = {}
         self._units = {}
         self._same = {}
@@ -296,8 +306,18 @@ class _SiteTable:
         key = (s, t)
         got = self._meets.get(key)
         if got is None:
-            got = self._meets[key] = self._candidates(
-                circle_intersect(self.points[s], 1, self.points[t], 1, self._field))
+            c, e = self.points[s], self.points[t]
+            if self._offsets is None:
+                got = self._candidates(circle_intersect(c, 1, e, 1, self._field))
+            else:
+                d = Point(e.x - c.x, e.y - c.y)
+                offsets = self._offsets.get(d)
+                if offsets is None:
+                    offsets = self._offsets[d] = circle_intersect(P0, 1, d, 1, self._field)
+                got = self._candidates([Point(c.x + o.x, c.y + o.y) for o in offsets])
+                for cand in got:
+                    self._units[cand, s] = self._units[cand, t] = True
+            self._meets[key] = got
         return got
 
     def glued(self, k: int, u: int, w: int, radii) -> tuple:
@@ -332,9 +352,10 @@ def enumerate_unit_maps(T: PointSet, order: PlacementOrder = None,
     toward the result's totals and its branch limit.
 
     `nodes` and `pruned` count search nodes, not arithmetic: intersections
-    and unit tests come from the enumeration's site table, computed once
-    per pair of image positions, so a node that meets a known pair costs
-    no field operation.  Maps share the Point object of each position.
+    and unit tests come from the enumeration's site table, computed at most
+    once per pair of image positions (an exact intersection once per
+    difference of the two), so a node that meets a known pair costs no
+    field operation.  Maps share the Point object of each position.
     """
     if order is None:
         order = placement_order(T)

@@ -37,6 +37,9 @@ Q_SQRT3 = (3,)
 
 _EXACT_COERCIBLE = (int, Fraction)
 
+# largest integer that sqrt_value factors to find a square root's field
+_MAX_FACTORED = 10**9
+
 
 def _fraction_sqrt(f: Fraction):
     """Exact square root of a nonnegative rational, or None if irrational."""
@@ -648,7 +651,8 @@ def as_float(s) -> float:
 
 
 def sqrt_value(s2, tol=DEFAULT_TOL):
-    """Length from a squared length; exact when the field permits.
+    """Length from a squared length; exact in Q(sqrt(3)) or, for a rational
+    square, in Q(sqrt(3), sqrt(d)), else a float.
 
     Intended for report fields only.  Certification decisions go through
     sqrt_diff_within / compare_deviation, which never take square roots.
@@ -662,7 +666,13 @@ def sqrt_value(s2, tol=DEFAULT_TOL):
     try:
         return sqrt_exact(s2)
     except NotRepresentable:
-        return FloatVal(math.sqrt(QScalar._coerce(s2).to_float()), tol)
+        u = QScalar._coerce(s2)
+        pq = u.a.numerator * u.a.denominator
+        # sqrt(p/q) = sqrt(p*q)/q, and sqrt(p*q) is an integer times sqrt(d);
+        # p*q is factored by trial division, so only while that is quick
+        if u.is_rational and pq <= _MAX_FACTORED:
+            return sqrt_exact(u, (3, _squarefree(pq)[1]))
+        return FloatVal(math.sqrt(u.to_float()), tol)
 
 
 def deviation_value(a2, b2, tol=DEFAULT_TOL):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rigidlab import bq
 from rigidlab.bq import (
     DEFAULT_BRANCH_LIMIT,
     _distinct,
@@ -251,6 +252,27 @@ class TestReferenceEnumerator:
     def test_ladder_counts_pinned(self, k, counts):
         res = enumerate_unit_maps(_ladder(P0, lattice_point(k, 0), k))
         assert (res.nodes, res.pruned, len(res.maps)) == counts
+
+    @pytest.mark.parametrize("y,k,calls", [((4, 0), 4, (6, 23)), ((0, -5), 5, (6, 48))])
+    def test_ladder_work_pinned(self, y, k, calls, monkeypatch):
+        # one intersection per difference of two anchor images, and no unit
+        # test of a candidate against the centres it was met from; a second
+        # enumeration pays the same, so no table outlives its enumeration
+        count = {}
+
+        def counted(fn):
+            def wrapped(*args):
+                count[fn.__name__] = count.get(fn.__name__, 0) + 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(bq, "circle_intersect", counted(circle_intersect))
+        monkeypatch.setattr(bq, "is_unit", counted(is_unit))
+        T = _ladder(P0, lattice_point(*y), k)
+        for _ in range(2):
+            count.clear()
+            enumerate_unit_maps(T)
+            assert (count["circle_intersect"], count["is_unit"]) == calls
 
     def test_distinct_drops_every_repeat(self):
         # 1 + 10**-30 has the float of 1, so the two 1s need not sort side by side

@@ -285,6 +285,15 @@ class TestCli:
         assert code == 0
         assert load_json(out)["valid"] is True
 
+    def test_witness_case1_irrational_gap(self, tmp_path):
+        # y = (5/2, sqrt(3)/2) is sqrt(7) from the anchor, x is 1 from it
+        out = str(tmp_path / "w.json")
+        code = self.run("witness", "--kind", "case1", "--x", "1,0",
+                        "--y", "5/2,1/2r3", "--out", out)
+        assert code == 0
+        doc = load_json(out)
+        assert doc["valid"] is True and doc["strategy"] == "edge"
+
     def test_witness_case2(self, tmp_path):
         out = str(tmp_path / "w2.json")
         code = self.run("witness", "--kind", "case2", "--radius", "1",

@@ -32,6 +32,7 @@ from rigidlab.numeric import (
     points_equal,
     sqrt_diff_within,
     sqrt_exact,
+    sqrt_value,
 )
 
 fracs = st.fractions(min_value=-10, max_value=10, max_denominator=8)
@@ -114,6 +115,14 @@ class TestSqrtExact:
     def test_negative(self):
         with pytest.raises(NegativeRadicand):
             sqrt_exact(QScalar(-1))
+
+    def test_sqrt_value_of_rational_square(self):
+        # sqrt(7/12) = sqrt(84)/12 = sqrt(21)/6 lies outside Q(sqrt(3))
+        assert sqrt_value(QScalar(Fraction(7, 12))) == QScalar(ext=((21, Fraction(1, 6)),))
+        assert isinstance(sqrt_value(QScalar(2, 1)), FloatVal)
+        # the prime 2**61 - 1 is not factored by trial division
+        root = sqrt_value(QScalar(2**61 - 1))
+        assert isinstance(root, FloatVal) and root.value == math.sqrt(2**61 - 1)
 
     @given(qscalars)
     def test_roundtrip_on_squares(self, u):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidlab.acceptance import _ball1_orientation_pair
-from rigidlab.errors import InconsistentDistances
+from rigidlab.errors import BudgetExhausted, InconsistentDistances
 from rigidlab.numeric import FloatVal, Point, QScalar, dist2, points_equal
 from rigidlab.phi import OrientationFamily, count_orientations, orientation_from_bits
 from rigidlab.plane import P0, P1, P2, base_triangle, lattice_ball, lattice_point
@@ -26,6 +26,7 @@ from rigidlab.relations import WitnessSet, check_witness, is_connected_within
 lattice_pts = st.builds(lattice_point, st.integers(-6, 6), st.integers(-6, 6))
 
 UNIT_DIRS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+SQRT7 = QScalar(ext=((7, 1),))
 SQRT3_DIRS = ((1, 1), (-1, 2), (-2, 1), (-1, -1), (1, -2), (2, -1))
 
 
@@ -214,6 +215,22 @@ class TestCase1:
     def test_family_pairs_count(self):
         # 6 edge directions x 6 gaps + 3 ladders x 6 x 4 + 6 rhombi x 4
         assert len({(p[1], p[2]) for p in CASE1_PAIRS}) == 132
+
+    def test_irrational_gap_certified_exactly(self):
+        # the gap sqrt(7) - 1 leaves Q(sqrt(3)); epsilon stays exact in
+        # Q(sqrt(3), sqrt(7)) instead of switching to floats
+        built = witness_case1(lattice_point(1, 0), lattice_point(2, 1))
+        assert built.grow.strategy == "edge"
+        assert built.epsilon == (SQRT7 - 1) / 2
+        assert built.strict_exclusion
+        assert verify_product_witness(built.product, built.witness).valid
+
+    def test_irrational_gap_budget_exhausted(self):
+        # x = (5/2, -sqrt(3)/2) is sqrt(7) from the anchor: no strategy
+        # certifies the half gap (5 - sqrt(7))/2, and the refusal is exact
+        with pytest.raises(BudgetExhausted) as info:
+            witness_case1(lattice_point(3, -1), Point(QScalar(5), QScalar(0)))
+        assert info.value.partial.report.max_deviation == SQRT7 - 1
 
     def test_witness_contains_x_not_required_to_contain_y(self):
         built = witness_case1(lattice_point(1, 0), Point(QScalar(5), QScalar(0)))
