@@ -9,8 +9,8 @@ for the default pair, or pass two points as 'x,y' scalar tokens.
 import argparse
 import sys
 
-from rigidlab.cli import _parse_point, RunConfig
-from rigidlab.numeric import as_float, dist2
+from rigidlab.cli import _parse_point
+from rigidlab.numeric import dist2
 from rigidlab.plane import TRIANGLE
 from rigidlab.product import verify_product_witness, witness_case1
 
@@ -20,9 +20,8 @@ def main() -> int:
     parser.add_argument("x", nargs="?", default="2,0")
     parser.add_argument("y", nargs="?", default="6,0")
     args = parser.parse_args()
-    config = RunConfig()
-    x = _parse_point(args.x, config)
-    y = _parse_point(args.y, config)
+    x = _parse_point(args.x)
+    y = _parse_point(args.y)
 
     print(f"separating x = ({x.x}, {x.y}) from y = ({y.x}, {y.y})")
     built = witness_case1(x, y)
@@ -34,7 +33,7 @@ def main() -> int:
           f"({len(built.grow.points)} points, "
           f"max deviation {built.grow.report.max_deviation})")
     print(f"epsilon = {built.epsilon} (half the distance gap, "
-          f"~{as_float(built.epsilon):.4f})")
+          f"~{float(built.epsilon):.4f})")
     print(f"witness: {len(built.witness.subset)} of "
           f"{built.product.structure.n} product elements")
     print(f"strict exclusion of y from the distance band: "

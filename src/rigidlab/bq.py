@@ -53,6 +53,7 @@ from .numeric import (
     deviation_value,
     dist2,
     is_unit,
+    point_to_float,
     points_equal,
     scalar_sign,
     sqrt_diff_within,
@@ -168,7 +169,7 @@ def _cluster_step(adj, placed: list):
     return None
 
 
-def placement_order(T: PointSet, x=None, y=None) -> PlacementOrder:
+def placement_order(T: PointSet) -> PlacementOrder:
     """Greedy placement order over every possible starting unit edge.
 
     Greedy per start edge is complete: a vertex that is placeable stays
@@ -180,9 +181,6 @@ def placement_order(T: PointSet, x=None, y=None) -> PlacementOrder:
     run still stalls, NotAnchored is raised.
     """
     n = len(T)
-    for p in (x, y):
-        if p is not None and not isinstance(p, int) and T.index_of(p) < 0:
-            raise ValueError("x and y must belong to the point set")
     if n == 0:
         raise ValueError("empty point set")
     if n == 1:
@@ -525,30 +523,17 @@ def _coerce_eps(eps, backend: str, tol: float):
 
 
 def bq_certify(T: PointSet, x, y, epsilon, order: PlacementOrder = None,
-               branch_limit: int = DEFAULT_BRANCH_LIMIT,
-               float_fallback: bool = True) -> CertReport:
+               branch_limit: int = DEFAULT_BRANCH_LIMIT) -> CertReport:
     """Certify that every unit-preserving map of T moves the x-y distance
     by at most epsilon.
 
-    Exact instances whose circle intersections leave the field are retried
-    on the float backend when float_fallback is set.  A truncated
-    enumeration raises BudgetExhausted: certifying from a partial map list
-    would be unsound.
+    The certificate is computed on T's own backend.  An exact T whose maps
+    leave the field generated by sqrt(3) and its coordinates raises
+    NotRepresentable, and a truncated enumeration raises BudgetExhausted:
+    certifying from a partial map list would be unsound.
     """
     xi = _locate(T, x)
     yi = _locate(T, y)
-    try:
-        return _certify_indices(T, xi, yi, epsilon, order, branch_limit)
-    except NotRepresentable:
-        if not float_fallback or T.backend == "float":
-            raise
-        tol = DEFAULT_TOL
-        T2 = T.to_float(tol)
-        eps2 = float(epsilon) if not isinstance(epsilon, FloatVal) else epsilon
-        return _certify_indices(T2, xi, yi, eps2, None, branch_limit)
-
-
-def _certify_indices(T, xi, yi, epsilon, order, branch_limit) -> CertReport:
     backend = T.backend
     tol = T[0].x.tol if backend == "float" else DEFAULT_TOL
     eps = _coerce_eps(epsilon, backend, tol)
@@ -691,43 +676,25 @@ def gadget_chain(n: int, start: Point = P0, toward: Point = None) -> Gadget:
 _SPINDLE_LABELS = ("A", "B", "C", "D", "E", "F", "G")
 
 
-def gadget_moser_spindle(attach: Point = None, tol: float = DEFAULT_TOL,
-                         backend: str = "float") -> Gadget:
+def gadget_moser_spindle(backend: str = "float") -> Gadget:
     """The 7-point, 11-edge spindle: two rhombi hinged at A with the far
     apexes D and G at unit distance.
 
     The hinge rotation has cosine 5/6 and sine sqrt(11)/6, so with A at
-    the origin D = (sqrt(11)/2, -1/2) and G = (sqrt(11)/2, 1/2).  On the
-    exact backend the coordinates lie in Q(sqrt(3), sqrt(11)); the float
-    backend rounds the same layout.
+    the origin D = (sqrt(11)/2, -1/2) and G = (sqrt(11)/2, 1/2).  The
+    coordinates lie in Q(sqrt(3), sqrt(11)); backend="float" rounds them
+    through point_to_float.
     """
-    if backend == "exact":
-        return _exact_spindle(P0 if attach is None else attach)
-    ax, ay = (0.0, 0.0) if attach is None else attach.to_float_pair()
-    half = math.asin(1.0 / (2.0 * math.sqrt(3.0)))
-    pts = [Point.approx(ax, ay, tol)]
-    for sgn in (-1.0, 1.0):
-        ang = sgn * half
-        dx = math.sqrt(3.0) * math.cos(ang)
-        dy = math.sqrt(3.0) * math.sin(ang)
-        # side vertices: midpoint of A-D shifted along the perpendicular
-        px, py = -dy / (2.0 * math.sqrt(3.0)), dx / (2.0 * math.sqrt(3.0))
-        b = Point.approx(ax + dx / 2 + px, ay + dy / 2 + py, tol)
-        c = Point.approx(ax + dx / 2 - px, ay + dy / 2 - py, tol)
-        dpt = Point.approx(ax + dx, ay + dy, tol)
-        pts.extend([b, c, dpt])
-    return Gadget("moser-spindle", PointSet(pts), _SPINDLE_LABELS)
-
-
-def _exact_spindle(a: Point) -> Gadget:
-    # the float layout in exact arithmetic: 1/(2 sqrt(3)) = sqrt(3)/6
     dx = QScalar(ext=((11, Fraction(1, 2)),))
-    pts = [a]
+    pts = [P0]
     for dy in (Fraction(-1, 2), Fraction(1, 2)):
+        # side vertices: midpoint of A-D shifted along the perpendicular by
+        # 1/(2 sqrt(3)) = sqrt(3)/6 of A-D
         px, py = -dy * SQRT3 / 6, dx * SQRT3 / 6
-        mx, my = a.x + dx / 2, a.y + dy / 2
-        pts += [Point(mx + px, my + py), Point(mx - px, my - py),
-                Point(a.x + dx, a.y + dy)]
+        mx, my = dx / 2, dy / 2
+        pts += [Point(mx + px, my + py), Point(mx - px, my - py), Point(dx, dy)]
+    if backend == "float":
+        pts = [point_to_float(p) for p in pts]
     return Gadget("moser-spindle", PointSet(pts), _SPINDLE_LABELS)
 
 

@@ -32,7 +32,7 @@ from .export import (
     unitgraph_to_dot,
     write_text_atomic,
 )
-from .numeric import DEFAULT_TOL, Point, parse_scalar, point_to_float
+from .numeric import Point, parse_scalar
 from .phi import (
     OrientationFamily,
     all_orientations,
@@ -60,8 +60,6 @@ EXIT_USAGE = 4
 class RunConfig:
     """Settings shared by every subcommand, all sourced from flags."""
 
-    backend: str = "exact"
-    tolerance: float = DEFAULT_TOL
     seed: int = 0
     branch_limit: int = DEFAULT_BRANCH_LIMIT
     hom_limit: int = None
@@ -70,8 +68,6 @@ class RunConfig:
 
     def as_json(self) -> dict:
         return {
-            "backend": self.backend,
-            "tolerance": self.tolerance,
             "seed": self.seed,
             "branch_limit": self.branch_limit,
             "hom_limit": self.hom_limit,
@@ -89,8 +85,6 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rigidlab", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--backend", choices=("exact", "float"), default="exact")
-    common.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--branch-limit", type=int, default=DEFAULT_BRANCH_LIMIT)
     common.add_argument("--hom-limit", type=int, default=None)
@@ -153,8 +147,6 @@ def _build_parser() -> _Parser:
 
 def _config_from(args) -> RunConfig:
     return RunConfig(
-        backend=args.backend,
-        tolerance=args.tolerance,
         seed=args.seed,
         branch_limit=args.branch_limit,
         hom_limit=args.hom_limit,
@@ -163,33 +155,11 @@ def _config_from(args) -> RunConfig:
     )
 
 
-def _parse_point(text: str, config: RunConfig) -> Point:
+def _parse_point(text: str) -> Point:
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError(f"point must be 'x,y', got {text!r}")
-    if config.backend == "float":
-        try:
-            return Point.approx(float(parts[0]), float(parts[1]), config.tolerance)
-        except ValueError:
-            raise UsageError(f"bad float coordinates in {text!r}")
     return Point(parse_scalar(parts[0]), parse_scalar(parts[1]))
-
-
-def _parse_epsilon(text: str, config: RunConfig):
-    if config.backend == "float":
-        try:
-            from .numeric import FloatVal
-            return FloatVal(float(text), config.tolerance)
-        except ValueError:
-            raise UsageError(f"bad epsilon {text!r}")
-    return parse_scalar(text)
-
-
-def _refuse_float(config: RunConfig, command: str) -> None:
-    # these verdicts never read coordinates, so a report naming the float
-    # backend would name one its verdict did not use
-    if config.backend == "float":
-        raise UsageError(f"{command} has no float backend; drop --backend float")
 
 
 def _emit(text: str, config: RunConfig) -> None:
@@ -205,22 +175,16 @@ def _report(command: str, config: RunConfig, body: dict) -> dict:
     return doc
 
 
-def _load_pointset_arg(args, config: RunConfig) -> PointSet:
+def _load_pointset_arg(args) -> PointSet:
     if getattr(args, "input", None):
-        ps = pointset_from_json(load_json(args.input))
-    elif getattr(args, "radius", None) is not None:
-        ps = lattice_ball(args.radius, include_triangle=True)
-    else:
-        raise UsageError("need --input or --radius")
-    if config.backend == "float" and ps.backend == "exact":
-        ps = ps.to_float(config.tolerance)
-    return ps
+        return pointset_from_json(load_json(args.input))
+    if getattr(args, "radius", None) is not None:
+        return lattice_ball(args.radius, include_triangle=True)
+    raise UsageError("need --input or --radius")
 
 
 def _cmd_lattice(args, config: RunConfig) -> int:
     ps = lattice_ball(args.radius, include_triangle=args.include_triangle)
-    if config.backend == "float":
-        ps = ps.to_float(config.tolerance)
     if config.format == "json":
         _emit(dumps_canonical(pointset_to_json(ps)), config)
     elif config.format == "dot":
@@ -231,7 +195,7 @@ def _cmd_lattice(args, config: RunConfig) -> int:
 
 
 def _cmd_orient(args, config: RunConfig) -> int:
-    ps = _load_pointset_arg(args, config)
+    ps = _load_pointset_arg(args)
     if config.format != "json" and args.mode != "sample":
         raise UsageError("dot/svg output needs --mode sample")
     if args.mode == "count":
@@ -268,7 +232,6 @@ def _parse_pins(texts) -> dict:
 
 
 def _cmd_hom(args, config: RunConfig) -> int:
-    _refuse_float(config, "hom")
     src = relstruct_from_json(load_json(args.src))
     dst = relstruct_from_json(load_json(args.dst))
     pin = _parse_pins(args.pin)
@@ -284,7 +247,6 @@ def _cmd_hom(args, config: RunConfig) -> int:
 
 
 def _cmd_rigid(args, config: RunConfig) -> int:
-    _refuse_float(config, "rigid")
     s = relstruct_from_json(load_json(args.input))
     report = is_rigid(s)
     body = {"rigid": report.rigid, "endomorphisms": report.endo_count}
@@ -297,7 +259,6 @@ def _cmd_rigid(args, config: RunConfig) -> int:
 
 def _cmd_witness(args, config: RunConfig) -> int:
     if args.kind == "min":
-        _refuse_float(config, "witness --kind min")
         if not (args.input and args.x is not None and args.y is not None):
             raise UsageError("witness --kind min needs --input, --x, --y")
         s = relstruct_from_json(load_json(args.input))
@@ -324,9 +285,9 @@ def _cmd_witness(args, config: RunConfig) -> int:
     if args.kind == "case1":
         if not (args.x and args.y):
             raise UsageError("witness --kind case1 needs --x and --y")
-        x = _parse_point(args.x, config)
-        y = _parse_point(args.y, config)
-        eps = _parse_epsilon(args.epsilon, config) if args.epsilon else None
+        x = _parse_point(args.x)
+        y = _parse_point(args.y)
+        eps = parse_scalar(args.epsilon) if args.epsilon else None
         built = witness_case1(x, y, epsilon=eps, budget=config.branch_limit)
         verdict = verify_product_witness(built.product, built.witness)
         body = {
@@ -344,11 +305,9 @@ def _cmd_witness(args, config: RunConfig) -> int:
     if args.s_bits is None or args.z_bits is None or args.x is None:
         raise UsageError("witness --kind case2 needs --s-bits, --z-bits, --x")
     ps = lattice_ball(args.radius, include_triangle=True)
-    if config.backend == "float":
-        ps = ps.to_float(config.tolerance)
     S = orientation_from_bits(ps, args.s_bits)
     Z = orientation_from_bits(ps, args.z_bits)
-    x = _parse_point(args.x, config)
+    x = _parse_point(args.x)
     built = witness_case2(x, S, Z)
     verdict = verify_product_witness(built.product, built.witness)
     body = {
@@ -368,24 +327,23 @@ def _cmd_certify(args, config: RunConfig) -> int:
         if args.gadget == "chain":
             kwargs["n"] = args.chain_n
         if args.gadget == "moser-spindle":
-            kwargs["backend"] = config.backend
-            kwargs["tol"] = config.tolerance
+            kwargs["backend"] = "exact"
         g = gadget(args.gadget, **kwargs)
         ps = g.points
 
         def locate(text):
             if text in g.labels:
                 return ps[g.labeled_index(text)]
-            return _parse_point(text, config)
+            return _parse_point(text)
 
         x, y = locate(args.x), locate(args.y)
     else:
         if not args.input:
             raise UsageError("certify needs --gadget or --input")
         ps = pointset_from_json(load_json(args.input))
-        x = _parse_point(args.x, config)
-        y = _parse_point(args.y, config)
-    eps = _parse_epsilon(args.epsilon, config)
+        x = _parse_point(args.x)
+        y = _parse_point(args.y)
+    eps = parse_scalar(args.epsilon)
     report = bq_certify(ps, x, y, eps, branch_limit=config.branch_limit)
     body = {
         "certified": report.certified,
@@ -403,7 +361,7 @@ def _cmd_certify(args, config: RunConfig) -> int:
 
 
 def _cmd_product(args, config: RunConfig) -> int:
-    ps = _load_pointset_arg(args, config)
+    ps = _load_pointset_arg(args)
     members = tuple(orientation_from_bits(ps, bits) for bits in args.member_bits)
     family = OrientationFamily(ps, members)
     P = build_product(ps, family)
@@ -421,7 +379,6 @@ def _cmd_product(args, config: RunConfig) -> int:
 
 
 def _cmd_verify_all(args, config: RunConfig) -> int:
-    _refuse_float(config, "verify-all")
     out_dir = config.out or "out"
     results = acceptance.run_all(seed=config.seed, out_dir=out_dir)
     all_ok = all(r.passed for r in results)

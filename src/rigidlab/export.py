@@ -14,7 +14,7 @@ import tempfile
 from fractions import Fraction
 
 from .errors import UsageError
-from .numeric import FloatVal, Point, QScalar
+from .numeric import Point, QScalar
 from .phi import Orientation
 from .plane import PointSet, unit_graph
 from .product import ProductStruct
@@ -40,8 +40,6 @@ def scalar_to_json(s):
             # terms beyond Q(sqrt(3)) as [radicand, coefficient] pairs
             doc["ext"] = [[d, _frac_str(c)] for d, c in s.ext]
         return doc
-    if isinstance(s, FloatVal):
-        return {"value": s.value, "tol": s.tol}
     raise TypeError(f"not a serializable scalar: {s!r}")
 
 
@@ -51,14 +49,14 @@ MAX_RADICAND = 10**9
 
 
 def scalar_from_json(obj):
-    if "a" in obj:
-        ext = []
-        for d, c in obj.get("ext", ()):
-            if type(d) is not int or not 1 <= d <= MAX_RADICAND:
-                raise UsageError(f"ext radicand must be an integer in 1..{MAX_RADICAND}, got {d!r}")
-            ext.append((d, Fraction(c)))
-        return QScalar(Fraction(obj["a"]), Fraction(obj["b"]), ext)
-    return FloatVal(float(obj["value"]), float(obj["tol"]))
+    if not isinstance(obj, dict) or "a" not in obj:
+        raise UsageError(f"a scalar is exact: an object with keys 'a' and 'b', got {obj!r}")
+    ext = []
+    for d, c in obj.get("ext", ()):
+        if type(d) is not int or not 1 <= d <= MAX_RADICAND:
+            raise UsageError(f"ext radicand must be an integer in 1..{MAX_RADICAND}, got {d!r}")
+        ext.append((d, Fraction(c)))
+    return QScalar(Fraction(obj["a"]), Fraction(obj["b"]), ext)
 
 
 def pointset_to_json(ps: PointSet) -> dict:
@@ -203,7 +201,7 @@ def unitgraph_to_dot(ps: PointSet, name: str = "U") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _svg_frame(float_pts, size):
+def _svg_viewport(float_pts, size):
     xs = [p[0] for p in float_pts]
     ys = [p[1] for p in float_pts]
     pad = 0.6
@@ -228,7 +226,7 @@ def pointset_to_svg(ps: PointSet, orientation: Orientation = None,
     if len(ps) == 0:
         raise UsageError("cannot draw an empty point set")
     float_pts = [p.to_float_pair() for p in ps]
-    to_screen, w, h = _svg_frame(float_pts, size)
+    to_screen, w, h = _svg_viewport(float_pts, size)
     pos = [to_screen(p) for p in float_pts]
 
     def fmt(v: float) -> str:

@@ -6,8 +6,12 @@ Two numeric backends coexist and never mix silently:
   square-free integers d, with rational coefficients, i.e. elements of a
   multiquadratic field Q(sqrt(3), sqrt(d1), ...).  Arithmetic, comparisons
   and (within a given field, by default Q(sqrt(3))) square roots are exact.
+  Every input the CLI and the file formats accept is exact, and an exact
+  computation that leaves its field raises NotRepresentable.
 * ``FloatVal``: a double paired with an absolute tolerance ``tol``.
-  Comparisons are tolerance-aware; arithmetic keeps the larger tolerance.
+  Comparisons are tolerance-aware; arithmetic keeps the larger tolerance,
+  which does not grow as errors do, so a float verdict proves nothing.
+  Exact values become floats only through an explicit ``point_to_float``.
 
 Plain ``int`` and ``Fraction`` values are backend-neutral constants and
 combine with either side.  Combining a QScalar with a float or FloatVal
@@ -479,7 +483,7 @@ def sqrt_exact(u, field=Q_SQRT3) -> QScalar:
 
     Returns s >= 0 with s*s == u.  Raises NegativeRadicand for u < 0 and
     NotRepresentable when the root exists in the reals but not in the
-    field, which is the caller's cue to fall back to the float backend.
+    field; the caller names a larger field or refuses, never rounds.
     """
     if isinstance(u, (FloatVal, float)):
         raise MixedBackend("sqrt_exact is exact-backend only")
@@ -644,10 +648,6 @@ def scalar_sign(s) -> int:
     if isinstance(s, _EXACT_COERCIBLE):
         return (s > 0) - (s < 0)
     raise TypeError(f"not a scalar: {s!r}")
-
-
-def as_float(s) -> float:
-    return float(s)
 
 
 def sqrt_value(s2, tol=DEFAULT_TOL):

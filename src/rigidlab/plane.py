@@ -15,14 +15,12 @@ from fractions import Fraction
 
 from .errors import MissingTriangle
 from .numeric import (
-    DEFAULT_TOL,
     FloatVal,
     Point,
     QScalar,
     circle_intersect,
     dist2,
     is_unit,
-    point_to_float,
     points_equal,
     scalar_sign,
     sqrt_exact,
@@ -124,9 +122,6 @@ class PointSet:
 
     def contains_triangle(self) -> bool:
         return all(self.index_of(p) >= 0 for p in TRIANGLE)
-
-    def to_float(self, tol: float = DEFAULT_TOL) -> "PointSet":
-        return PointSet([point_to_float(p, tol) for p in self.points])
 
     def __eq__(self, other):
         if not isinstance(other, PointSet):
@@ -321,8 +316,7 @@ def unit_path(frm: Point, to: Point) -> UnitPath:
     allows one, then lattice walks when both endpoints are lattice points,
     and finally a straight chain of unit hops capped by an apex.  On the
     exact backend the chain needs the gap length itself to lie in the
-    field, otherwise NotRepresentable propagates and the caller may retry
-    on the float backend.
+    field, otherwise NotRepresentable propagates.
     """
     if points_equal(frm, to):
         return UnitPath((frm,))

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .bq import GrowResult, grow_witness
-from .errors import InconsistentDistances
+from .errors import InconsistentDistances, NotRepresentable
 from .numeric import (
     DEFAULT_TOL,
     SQRT3,
@@ -26,7 +26,6 @@ from .numeric import (
     QScalar,
     deviation_value,
     dist2,
-    point_to_float,
     points_equal,
     sqrt_diff_within,
 )
@@ -141,12 +140,6 @@ def trilaterate(d0sq, d1sq, d2sq, tol: float = DEFAULT_TOL) -> Point:
     return Point(x, y)
 
 
-def _frame(backend: str, tol: float) -> tuple:
-    if backend == "exact":
-        return TRIANGLE
-    return tuple(point_to_float(p, tol) for p in TRIANGLE)
-
-
 @dataclass(frozen=True)
 class Case1Witness:
     """Separates (x, S) from (y, S) inside a one-member product."""
@@ -169,44 +162,27 @@ def witness_case1(x: Point, y: Point, epsilon=None,
     grows a set certifying that distance to within half the gap, connects
     it up, and crosses with a single canonical orientation.  The witness
     then contains x, the triangle, and the certificate set; the target y
-    only joins the ambient universe.
+    only joins the ambient universe.  x and y are exact; a gap with no
+    exact value (see deviation_value) raises NotRepresentable.
     """
     if points_equal(x, y):
         raise ValueError("witness construction requires x != y")
-    backend = x.backend
-    tol = x.x.tol if backend == "float" else DEFAULT_TOL
-    frame = _frame(backend, tol)
-
-    anchor_index = -1
-    for i, corner in enumerate(frame):
-        dx2 = dist2(corner, x)
-        dy2 = dist2(corner, y)
-        if backend == "exact":
-            differ = dx2 != dy2
-        else:
-            # demand a gap clear of float noise: 4 tolerances wide
-            differ = not sqrt_diff_within(dx2, dy2, FloatVal(4 * tol, tol))
-        if differ:
-            anchor_index = i
-            break
+    anchor_index = next((i for i, corner in enumerate(TRIANGLE)
+                         if dist2(corner, x) != dist2(corner, y)), -1)
     if anchor_index < 0:
         raise ValueError("x and y are equidistant from all three anchors")
-    anchor = frame[anchor_index]
+    anchor = TRIANGLE[anchor_index]
 
     if epsilon is None:
-        gap = deviation_value(dist2(anchor, x), dist2(anchor, y), tol)
-        if backend == "exact" and isinstance(gap, FloatVal):
-            # the gap itself leaves the field; certify on floats instead
-            backend = "float"
-            x = point_to_float(x, tol)
-            y = point_to_float(y, tol)
-            frame = _frame(backend, tol)
-            anchor = frame[anchor_index]
+        a2, b2 = dist2(anchor, x), dist2(anchor, y)
+        gap = deviation_value(a2, b2)
+        if not isinstance(gap, QScalar):
+            raise NotRepresentable(f"the case-1 gap |sqrt({a2}) - sqrt({b2})| has no exact value")
         epsilon = gap / 2
 
     grow = grow_witness(anchor, x, epsilon, budget=budget)
     connected = augment_tilde(grow.points, x)
-    witness_points = PointSet(list(frame) + list(connected))
+    witness_points = PointSet(list(TRIANGLE) + list(connected))
     universe = witness_points.with_points([y])
 
     S = orientation_from_bits(universe, 0)

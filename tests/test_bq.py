@@ -73,7 +73,7 @@ class TestPlacementOrder:
         assert len(order.order) == 7
 
     def test_pinned_start(self):
-        order = placement_order(base_triangle(), x=P0, y=P1)
+        order = placement_order(base_triangle())
         assert order.order[0] == 0 and order.order[1] == 1
 
 
@@ -368,6 +368,13 @@ class TestCertify:
         rep = bq_certify(g.points, 0, 3, SQRT3)
         assert rep.certified
 
+    def test_maps_leaving_the_field_refused(self, spindle_braced_ball1):
+        # the spindles' maps need sqrt(11/148 + sqrt(33)/37); an exact
+        # figure gets an exact certificate or none, never a float one
+        assert spindle_braced_ball1.backend == "exact"
+        with pytest.raises(NotRepresentable):
+            bq_certify(spindle_braced_ball1, 0, 1, QScalar(0))
+
 
 class TestGadgets:
     def test_labels(self):
@@ -394,6 +401,13 @@ class TestGadgets:
             len(unit_graph(g.points).neighbors(i)) for i in range(7)
         )
         assert degrees[0] >= 3
+
+    def test_float_spindle_rounds_the_exact_one(self):
+        exact = gadget("moser-spindle", backend="exact").points
+        floats = gadget("moser-spindle").points
+        assert floats.backend == "float" and len(floats) == len(exact) == 7
+        for p, q in zip(floats, exact):
+            assert p.to_float_pair() == q.to_float_pair()
 
     def test_spindle_exact_not_representable(self):
         """The exact spindle lives in Q(sqrt(3), sqrt(11)); its hinge offset

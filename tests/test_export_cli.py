@@ -64,10 +64,10 @@ class TestJsonRoundtrip:
         ps = gadget("moser-spindle", backend="exact").points
         assert pointset_from_json(pointset_to_json(ps)) == ps
 
-    def test_pointset_float(self):
-        ps = lattice_ball(1).to_float()
-        back = pointset_from_json(pointset_to_json(ps))
-        assert back == ps
+    def test_float_scalar_refused(self):
+        # files hold exact scalars only; a {"value", "tol"} pair is no number
+        with pytest.raises(UsageError):
+            scalar_from_json({"value": 0.5, "tol": 1e-9})
 
     def test_relstruct(self):
         s = RelStruct(3, ((0, 1), (2, 0)), ("a", "b", "c"))
@@ -197,7 +197,10 @@ class TestCli:
         assert capsys.readouterr().err.startswith("usage error: ")
 
     @pytest.mark.parametrize("argv", [
-        # these verdicts never read coordinates, so no report may say float
+        # there is no float backend to ask for
+        "lattice --radius 1 --backend float",
+        "certify --gadget moser-spindle --x A --y D --epsilon 0 --backend float",
+        "orient --radius 1 --tolerance 1e-6",
         "hom --src c3.json --dst c3.json --backend float",
         "rigid --input c3.json --backend float",
         "witness --kind min --input c3.json --x 0 --y 1 --backend float",
@@ -345,9 +348,31 @@ class TestCli:
                         "--out", dot) == 0
         assert open(dot).read().startswith("graph")
 
-    def test_float_backend_flag(self, tmp_path):
-        out = str(tmp_path / "f.json")
-        assert self.run("lattice", "--radius", "1", "--backend", "float",
-                        "--out", out) == 0
-        assert load_json(out)["backend"] == "float"
+    def test_float_pointset_document_refused(self, tmp_path, capsys):
+        path = str(tmp_path / "f.json")
+        doc = pointset_to_json(base_triangle())
+        doc["points"][1][0] = {"value": 1.0, "tol": 1e-9}
+        save_json(doc, path)
+        out = str(tmp_path / "o.json")
+        assert self.run("orient", "--input", path, "--out", out) == 4
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not os.path.exists(out)
+
+    def test_certify_maps_leaving_the_field(self, spindle_braced_ball1, tmp_path, capsys):
+        # no float certificate stands in for the exact one
+        path = str(tmp_path / "patch.json")
+        save_json(pointset_to_json(spindle_braced_ball1), path)
+        out = str(tmp_path / "c.json")
+        assert self.run("certify", "--input", path, "--x", "0,0", "--y=-1,0",
+                        "--epsilon", "0", "--out", out) == 4
+        assert "not in Q(sqrt(3), sqrt(11), sqrt(33))" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_witness_case1_inexact_gap(self, tmp_path, capsys):
+        # x is sqrt(2 + sqrt(3)) from the anchor: the gap has no exact value
+        out = str(tmp_path / "w.json")
+        assert self.run("witness", "--kind", "case1", "--x", "1+1/2r3,1/2",
+                        "--y", "5,0", "--out", out) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(out)
 

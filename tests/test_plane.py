@@ -62,11 +62,6 @@ class TestPointSet:
         grown = ps.with_points([lattice_point(2, 0)])
         assert len(grown) == 4
 
-    def test_to_float(self):
-        ps = base_triangle().to_float()
-        assert ps.backend == "float"
-        assert len(ps) == 3
-
 
 class TestLattice:
     @pytest.mark.parametrize("radius,count", [(0, 1), (1, 7), (2, 19), (3, 37)])

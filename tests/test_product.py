@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidlab.acceptance import _ball1_orientation_pair
-from rigidlab.errors import BudgetExhausted, InconsistentDistances
+from rigidlab.errors import BudgetExhausted, InconsistentDistances, NotRepresentable
 from rigidlab.numeric import FloatVal, Point, QScalar, dist2, points_equal
 from rigidlab.phi import OrientationFamily, count_orientations, orientation_from_bits
 from rigidlab.plane import P0, P1, P2, base_triangle, lattice_ball, lattice_point
@@ -231,6 +231,13 @@ class TestCase1:
         with pytest.raises(BudgetExhausted) as info:
             witness_case1(lattice_point(3, -1), Point(QScalar(5), QScalar(0)))
         assert info.value.partial.report.max_deviation == SQRT7 - 1
+
+    def test_inexact_gap_refused(self):
+        # x = (1 + sqrt(3)/2, 1/2) is sqrt(2 + sqrt(3)) = (sqrt(6) + sqrt(2))/2
+        # from the anchor p0: the gap has no exact value, so no epsilon
+        x = Point(QScalar(1, Fraction(1, 2)), QScalar(Fraction(1, 2)))
+        with pytest.raises(NotRepresentable):
+            witness_case1(x, Point(QScalar(5), QScalar(0)))
 
     def test_witness_contains_x_not_required_to_contain_y(self):
         built = witness_case1(lattice_point(1, 0), Point(QScalar(5), QScalar(0)))
