@@ -33,7 +33,6 @@ the search repeats these decisions at many nodes but pays for each once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,7 +44,6 @@ from .errors import (
 from .numeric import (
     DEFAULT_TOL,
     SQRT3,
-    FloatVal,
     Point,
     QScalar,
     circle_intersect,
@@ -58,7 +56,6 @@ from .numeric import (
     scalar_sign,
     sqrt_diff_within,
     sqrt_exact,
-    sqrt_value,
 )
 from .plane import P0, P1, PointSet, is_connected, unit_graph, unit_path
 
@@ -496,7 +493,7 @@ class CertReport:
     counterexample: tuple
     pruned_contradictions: int
     map_count: int
-    backend: str
+    backend: str  # always "exact"; reports and bench/ still read it
 
 
 def _locate(T: PointSet, p) -> int:
@@ -510,33 +507,22 @@ def _locate(T: PointSet, p) -> int:
     return i
 
 
-def _coerce_eps(eps, backend: str, tol: float):
-    if backend == "exact":
-        if isinstance(eps, (FloatVal, float)):
-            from .errors import MixedBackend
-
-            raise MixedBackend("exact certification needs an exact epsilon")
-        return eps if isinstance(eps, QScalar) else QScalar(eps)
-    if isinstance(eps, FloatVal):
-        return eps
-    return FloatVal(float(eps), tol)
-
-
 def bq_certify(T: PointSet, x, y, epsilon, order: PlacementOrder = None,
                branch_limit: int = DEFAULT_BRANCH_LIMIT) -> CertReport:
     """Certify that every unit-preserving map of T moves the x-y distance
     by at most epsilon.
 
-    The certificate is computed on T's own backend.  An exact T whose maps
-    leave the field generated by sqrt(3) and its coordinates raises
-    NotRepresentable, and a truncated enumeration raises BudgetExhausted:
-    certifying from a partial map list would be unsound.
+    T and epsilon are exact; a float epsilon raises MixedBackend at once,
+    a float T once its maps are compared.  A T whose maps leave the field
+    generated by sqrt(3) and its coordinates raises NotRepresentable, and
+    a truncated enumeration raises BudgetExhausted: certifying from a
+    partial map list would be unsound.
     """
     xi = _locate(T, x)
     yi = _locate(T, y)
-    backend = T.backend
-    tol = T[0].x.tol if backend == "float" else DEFAULT_TOL
-    eps = _coerce_eps(epsilon, backend, tol)
+    eps = QScalar._coerce(epsilon)
+    if eps is None:
+        raise TypeError(f"epsilon must be a scalar, got {epsilon!r}")
     b2 = dist2(T[xi], T[yi])
     result = enumerate_unit_maps(T, order=order, branch_limit=branch_limit)
     if result.truncated:
@@ -560,7 +546,7 @@ def bq_certify(T: PointSet, x, y, epsilon, order: PlacementOrder = None,
         # the maps come sorted, so the first violator is the least
         if not within and counterexample is None:
             counterexample = images
-    max_dev = deviation_value(worst_a2, b2, tol) if worst_a2 is not None else None
+    max_dev = deviation_value(worst_a2, b2) if worst_a2 is not None else None
     return CertReport(
         certified=counterexample is None,
         epsilon=eps,
@@ -569,7 +555,7 @@ def bq_certify(T: PointSet, x, y, epsilon, order: PlacementOrder = None,
         counterexample=counterexample,
         pruned_contradictions=result.pruned,
         map_count=len(result.maps),
-        backend=backend,
+        backend="exact",
     )
 
 
@@ -665,7 +651,7 @@ def gadget_chain(n: int, start: Point = P0, toward: Point = None) -> Gadget:
     d2 = dist2(start, toward)
     if scalar_sign(d2) == 0:
         raise ValueError("chain direction is undefined for coincident points")
-    d = sqrt_exact(d2) if start.backend == "exact" else sqrt_value(d2)
+    d = sqrt_exact(d2)
     ux = (toward.x - start.x) / d
     uy = (toward.y - start.y) / d
     pts = [Point(start.x + j * ux, start.y + j * uy) for j in range(n + 1)]
@@ -736,19 +722,12 @@ def _ladder(x: Point, y: Point, k: int) -> PointSet:
 
 def _integer_distance(x: Point, y: Point):
     """|x - y| when it is an integer >= 2, else None."""
-    d2 = dist2(x, y)
-    if x.backend == "exact":
-        try:
-            d = sqrt_exact(d2)
-        except NotRepresentable:
-            return None
-        if d.is_rational and d.a.denominator == 1 and d.a >= 2:
-            return int(d.a)
+    try:
+        d = sqrt_exact(dist2(x, y))
+    except NotRepresentable:
         return None
-    d = math.sqrt(max(float(d2), 0.0))
-    k = round(d)
-    if k >= 2 and abs(d - k) <= d2.tol:
-        return k
+    if d.is_rational and d.a.denominator == 1 and d.a >= 2:
+        return int(d.a)
     return None
 
 
@@ -762,21 +741,22 @@ def grow_witness(x: Point, y: Point, epsilon, budget: int = DEFAULT_BRANCH_LIMIT
     braced unit path as a last resort.  If nothing certifies, raises
     BudgetExhausted carrying the best (set, report) pair seen; the best
     achieved deviation is genuinely the frontier of this library, not a
-    search artifact.
+    search artifact.  If no strategy yields a report at all, re-raises the
+    refusal of the last one tried (NotAnchored, say).
     """
     if points_equal(x, y):
         raise ValueError("witness growth requires x != y")
     d2 = dist2(x, y)
     best = None
+    refusal = None
 
     def attempt(builder, name):
-        nonlocal best
+        nonlocal best, refusal
         try:
             T = builder()
             report = bq_certify(T, x, y, epsilon, branch_limit=budget)
-        except (NotAnchored, NotRepresentable, ValueError):
-            return None
-        except BudgetExhausted:
+        except (NotAnchored, NotRepresentable, ValueError, BudgetExhausted) as exc:
+            refusal = exc
             return None
         if best is None or compare_or_none(report, best[1]) < 0:
             best = (T, report, name)
@@ -822,10 +802,7 @@ def grow_witness(x: Point, y: Point, epsilon, budget: int = DEFAULT_BRANCH_LIMIT
     if got:
         return got
     if best is None:
-        raise BudgetExhausted(
-            "no strategy produced an enumerable set for this pair",
-            partial=None,
-        )
+        raise refusal
     achieved = best[1].max_deviation
     raise BudgetExhausted(
         f"no strategy certified epsilon {epsilon}; best deviation {achieved}",

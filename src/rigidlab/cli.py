@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from . import acceptance
 from .bq import DEFAULT_BRANCH_LIMIT, bq_certify, gadget
@@ -56,23 +55,10 @@ EXIT_BUDGET = 3
 EXIT_USAGE = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Settings shared by every subcommand, all sourced from flags."""
+# flags a report's "config" echoes when its subcommand declares them
+_REPORTED = ("seed", "branch_limit", "hom_limit", "format")
 
-    seed: int = 0
-    branch_limit: int = DEFAULT_BRANCH_LIMIT
-    hom_limit: int = None
-    out: str = None
-    format: str = "json"
-
-    def as_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "branch_limit": self.branch_limit,
-            "hom_limit": self.hom_limit,
-            "format": self.format,
-        }
+_FORMATS = ("json", "dot", "svg")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,11 +71,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rigidlab", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--branch-limit", type=int, default=DEFAULT_BRANCH_LIMIT)
-    common.add_argument("--hom-limit", type=int, default=None)
     common.add_argument("--out", default=None)
-    common.add_argument("--format", choices=("json", "dot", "svg"), default="json")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
@@ -99,18 +81,22 @@ def _build_parser() -> _Parser:
     p = add_parser("lattice", help="triangular lattice ball point set")
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--include-triangle", action="store_true")
+    p.add_argument("--format", choices=_FORMATS, default="json")
 
     p = add_parser("orient", help="enumerate, count, or sample orientations")
     p.add_argument("--radius", type=int, default=None)
     p.add_argument("--input", default=None, help="point-set JSON file")
     p.add_argument("--mode", choices=("all", "count", "sample"), default="count")
     p.add_argument("--count", type=int, default=1, help="sample size")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=_FORMATS, default="json")
 
     p = add_parser("hom", help="enumerate homomorphisms between structures")
     p.add_argument("--src", required=True, help="relstruct JSON file")
     p.add_argument("--dst", required=True, help="relstruct JSON file")
     p.add_argument("--pin", action="append", default=[],
                    help="i:j forces element i to map to j (repeatable)")
+    p.add_argument("--hom-limit", type=int, default=None)
 
     p = add_parser("rigid", help="decide whether a structure is rigid")
     p.add_argument("--input", required=True, help="relstruct JSON file")
@@ -125,6 +111,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--z-bits", type=int, default=None, help="case2 member Z")
     p.add_argument("--input", default=None, help="min: relstruct JSON file")
     p.add_argument("--budget", type=int, default=4096)
+    p.add_argument("--branch-limit", type=int, default=DEFAULT_BRANCH_LIMIT)
 
     p = add_parser("certify", help="distance-preservation certificate")
     p.add_argument("--gadget", default=None,
@@ -134,25 +121,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--x", required=True, help="gadget label or point 'x,y'")
     p.add_argument("--y", required=True, help="gadget label or point 'x,y'")
     p.add_argument("--epsilon", required=True)
+    p.add_argument("--branch-limit", type=int, default=DEFAULT_BRANCH_LIMIT)
 
     p = add_parser("product", help="assemble a product structure")
     p.add_argument("--radius", type=int, default=None)
     p.add_argument("--input", default=None, help="point-set JSON file")
     p.add_argument("--member-bits", type=int, action="append", required=True,
                    help="orientation bitmask over free edges (repeatable)")
+    p.add_argument("--format", choices=("json", "dot"), default="json")
 
     p = add_parser("verify-all", help="run the full verification grid")
+    p.add_argument("--seed", type=int, default=0)
     return parser
-
-
-def _config_from(args) -> RunConfig:
-    return RunConfig(
-        seed=args.seed,
-        branch_limit=args.branch_limit,
-        hom_limit=args.hom_limit,
-        out=args.out,
-        format=args.format,
-    )
 
 
 def _parse_point(text: str) -> Point:
@@ -162,15 +142,16 @@ def _parse_point(text: str) -> Point:
     return Point(parse_scalar(parts[0]), parse_scalar(parts[1]))
 
 
-def _emit(text: str, config: RunConfig) -> None:
-    if config.out:
-        write_text_atomic(config.out, text)
+def _emit(text: str, args) -> None:
+    if args.out:
+        write_text_atomic(args.out, text)
     else:
         sys.stdout.write(text)
 
 
-def _report(command: str, config: RunConfig, body: dict) -> dict:
-    doc = {"schema": SCHEMA_REPORT, "command": command, "config": config.as_json()}
+def _report(command: str, args, body: dict) -> dict:
+    config = {k: v for k, v in vars(args).items() if k in _REPORTED}
+    doc = {"schema": SCHEMA_REPORT, "command": command, "config": config}
     doc.update(body)
     return doc
 
@@ -183,40 +164,40 @@ def _load_pointset_arg(args) -> PointSet:
     raise UsageError("need --input or --radius")
 
 
-def _cmd_lattice(args, config: RunConfig) -> int:
+def _cmd_lattice(args) -> int:
     ps = lattice_ball(args.radius, include_triangle=args.include_triangle)
-    if config.format == "json":
-        _emit(dumps_canonical(pointset_to_json(ps)), config)
-    elif config.format == "dot":
-        _emit(unitgraph_to_dot(ps), config)
+    if args.format == "json":
+        _emit(dumps_canonical(pointset_to_json(ps)), args)
+    elif args.format == "dot":
+        _emit(unitgraph_to_dot(ps), args)
     else:
-        _emit(pointset_to_svg(ps), config)
+        _emit(pointset_to_svg(ps), args)
     return EXIT_OK
 
 
-def _cmd_orient(args, config: RunConfig) -> int:
+def _cmd_orient(args) -> int:
     ps = _load_pointset_arg(args)
-    if config.format != "json" and args.mode != "sample":
+    if args.format != "json" and args.mode != "sample":
         raise UsageError("dot/svg output needs --mode sample")
     if args.mode == "count":
         body = {"orientations": count_orientations(ps)}
-        _emit(dumps_canonical(_report("orient", config, body)), config)
+        _emit(dumps_canonical(_report("orient", args, body)), args)
         return EXIT_OK
     if args.mode == "all":
         members = [list(map(list, o.pairs)) for o in all_orientations(ps)]
         body = {"orientations": len(members), "pairs": members}
-        _emit(dumps_canonical(_report("orient", config, body)), config)
+        _emit(dumps_canonical(_report("orient", args, body)), args)
         return EXIT_OK
-    sampled = sample_orientations(ps, config.seed, args.count)
-    if config.format == "dot":
+    sampled = sample_orientations(ps, args.seed, args.count)
+    if args.format == "dot":
         _emit("".join(orientation_to_dot(o, f"S{k}")
-                      for k, o in enumerate(sampled)), config)
-    elif config.format == "svg":
-        _emit(pointset_to_svg(ps, orientation=sampled[0]), config)
+                      for k, o in enumerate(sampled)), args)
+    elif args.format == "svg":
+        _emit(pointset_to_svg(ps, orientation=sampled[0]), args)
     else:
         docs = [orientation_to_json(o) for o in sampled]
         body = {"sampled": len(docs), "members": docs}
-        _emit(dumps_canonical(_report("orient", config, body)), config)
+        _emit(dumps_canonical(_report("orient", args, body)), args)
     return EXIT_OK
 
 
@@ -231,33 +212,33 @@ def _parse_pins(texts) -> dict:
     return pin
 
 
-def _cmd_hom(args, config: RunConfig) -> int:
+def _cmd_hom(args) -> int:
     src = relstruct_from_json(load_json(args.src))
     dst = relstruct_from_json(load_json(args.dst))
     pin = _parse_pins(args.pin)
-    result = enumerate_homs(src, dst, pin=pin or None, limit=config.hom_limit)
+    result = enumerate_homs(src, dst, pin=pin or None, limit=args.hom_limit)
     body = {
         "maps": [list(m) for m in result.maps],
         "count": len(result.maps),
         "truncated": result.truncated,
         "nodes": result.nodes,
     }
-    _emit(dumps_canonical(_report("hom", config, body)), config)
+    _emit(dumps_canonical(_report("hom", args, body)), args)
     return EXIT_OK
 
 
-def _cmd_rigid(args, config: RunConfig) -> int:
+def _cmd_rigid(args) -> int:
     s = relstruct_from_json(load_json(args.input))
     report = is_rigid(s)
     body = {"rigid": report.rigid, "endomorphisms": report.endo_count}
-    _emit(dumps_canonical(_report("rigid", config, body)), config)
+    _emit(dumps_canonical(_report("rigid", args, body)), args)
     if not report.rigid:
         print(f"{report.endo_count} endomorphisms", file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK
 
 
-def _cmd_witness(args, config: RunConfig) -> int:
+def _cmd_witness(args) -> int:
     if args.kind == "min":
         if not (args.input and args.x is not None and args.y is not None):
             raise UsageError("witness --kind min needs --input, --x, --y")
@@ -269,8 +250,8 @@ def _cmd_witness(args, config: RunConfig) -> int:
         try:
             result = find_min_witness(s, x, y, budget=args.budget)
         except NoWitnessExists as exc:
-            _emit(dumps_canonical(_report("witness", config, {
-                "kind": "min", "exists": False, "reason": str(exc)})), config)
+            _emit(dumps_canonical(_report("witness", args, {
+                "kind": "min", "exists": False, "reason": str(exc)})), args)
             return EXIT_VERIFY
         body = {
             "kind": "min",
@@ -279,7 +260,7 @@ def _cmd_witness(args, config: RunConfig) -> int:
             "minimal": result.minimal,
             "checks_used": result.checks_used,
         }
-        _emit(dumps_canonical(_report("witness", config, body)), config)
+        _emit(dumps_canonical(_report("witness", args, body)), args)
         return EXIT_OK
 
     if args.kind == "case1":
@@ -288,7 +269,7 @@ def _cmd_witness(args, config: RunConfig) -> int:
         x = _parse_point(args.x)
         y = _parse_point(args.y)
         eps = parse_scalar(args.epsilon) if args.epsilon else None
-        built = witness_case1(x, y, epsilon=eps, budget=config.branch_limit)
+        built = witness_case1(x, y, epsilon=eps, budget=args.branch_limit)
         verdict = verify_product_witness(built.product, built.witness)
         body = {
             "kind": "case1",
@@ -299,7 +280,7 @@ def _cmd_witness(args, config: RunConfig) -> int:
             "strategy": built.grow.strategy,
             "strict_exclusion": built.strict_exclusion,
         }
-        _emit(dumps_canonical(_report("witness", config, body)), config)
+        _emit(dumps_canonical(_report("witness", args, body)), args)
         return EXIT_OK if verdict.valid else EXIT_VERIFY
 
     if args.s_bits is None or args.z_bits is None or args.x is None:
@@ -317,11 +298,11 @@ def _cmd_witness(args, config: RunConfig) -> int:
         "whole_fiber": built.whole_fiber,
         "conflict": [built.conflict.ui, built.conflict.vi],
     }
-    _emit(dumps_canonical(_report("witness", config, body)), config)
+    _emit(dumps_canonical(_report("witness", args, body)), args)
     return EXIT_OK if verdict.valid else EXIT_VERIFY
 
 
-def _cmd_certify(args, config: RunConfig) -> int:
+def _cmd_certify(args) -> int:
     if args.gadget:
         kwargs = {}
         if args.gadget == "chain":
@@ -344,7 +325,7 @@ def _cmd_certify(args, config: RunConfig) -> int:
         x = _parse_point(args.x)
         y = _parse_point(args.y)
     eps = parse_scalar(args.epsilon)
-    report = bq_certify(ps, x, y, eps, branch_limit=config.branch_limit)
+    report = bq_certify(ps, x, y, eps, branch_limit=args.branch_limit)
     body = {
         "certified": report.certified,
         "max_deviation": str(report.max_deviation),
@@ -356,11 +337,11 @@ def _cmd_certify(args, config: RunConfig) -> int:
             else [list(p.to_float_pair()) for p in report.counterexample]
         ),
     }
-    _emit(dumps_canonical(_report("certify", config, body)), config)
+    _emit(dumps_canonical(_report("certify", args, body)), args)
     return EXIT_OK if report.certified else EXIT_VERIFY
 
 
-def _cmd_product(args, config: RunConfig) -> int:
+def _cmd_product(args) -> int:
     ps = _load_pointset_arg(args)
     members = tuple(orientation_from_bits(ps, bits) for bits in args.member_bits)
     family = OrientationFamily(ps, members)
@@ -371,16 +352,16 @@ def _cmd_product(args, config: RunConfig) -> int:
         doc["first_conflict"] = (
             None if conflict is None else [conflict.ui, conflict.vi]
         )
-    if config.format == "dot":
-        _emit(relstruct_to_dot(P.structure, "P"), config)
+    if args.format == "dot":
+        _emit(relstruct_to_dot(P.structure, "P"), args)
     else:
-        _emit(dumps_canonical(doc), config)
+        _emit(dumps_canonical(doc), args)
     return EXIT_OK
 
 
-def _cmd_verify_all(args, config: RunConfig) -> int:
-    out_dir = config.out or "out"
-    results = acceptance.run_all(seed=config.seed, out_dir=out_dir)
+def _cmd_verify_all(args) -> int:
+    out_dir = args.out or "out"
+    results = acceptance.run_all(seed=args.seed, out_dir=out_dir)
     all_ok = all(r.passed for r in results)
     for r in results:
         print(r.line())
@@ -401,8 +382,7 @@ _COMMANDS = {
 
 def dispatch(argv) -> int:
     args = _build_parser().parse_args(argv)
-    config = _config_from(args)
-    return _COMMANDS[args.command](args, config)
+    return _COMMANDS[args.command](args)
 
 
 def main(argv=None) -> int:

@@ -201,13 +201,14 @@ def unitgraph_to_dot(ps: PointSet, name: str = "U") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _svg_viewport(float_pts, size):
+def _svg_viewport(float_pts):
     xs = [p[0] for p in float_pts]
     ys = [p[1] for p in float_pts]
     pad = 0.6
     lo_x, hi_x = min(xs) - pad, max(xs) + pad
     lo_y, hi_y = min(ys) - pad, max(ys) + pad
-    scale = size / max(hi_x - lo_x, hi_y - lo_y)
+    # the longer side of the drawing is 480 px
+    scale = 480 / max(hi_x - lo_x, hi_y - lo_y)
 
     def to_screen(p):
         return ((p[0] - lo_x) * scale, (hi_y - p[1]) * scale)
@@ -216,17 +217,13 @@ def _svg_viewport(float_pts, size):
 
 
 def pointset_to_svg(ps: PointSet, orientation: Orientation = None,
-                    highlight=(), overlay=None, size: int = 480) -> str:
-    """Deterministic SVG: unit edges, optional orientation arrows, optional
-    highlighted vertices, optional overlay map drawn as dashed arcs.
-
-    The overlay argument is a mapping index -> index (an offending map,
-    say); identity entries draw as rings rather than zero-length arcs.
-    """
+                    highlight=()) -> str:
+    """Deterministic SVG: unit edges, optional orientation arrows and
+    optional highlighted vertices."""
     if len(ps) == 0:
         raise UsageError("cannot draw an empty point set")
     float_pts = [p.to_float_pair() for p in ps]
-    to_screen, w, h = _svg_viewport(float_pts, size)
+    to_screen, w, h = _svg_viewport(float_pts)
     pos = [to_screen(p) for p in float_pts]
 
     def fmt(v: float) -> str:
@@ -269,21 +266,6 @@ def pointset_to_svg(ps: PointSet, orientation: Orientation = None,
             f'<circle cx="{fmt(x)}" cy="{fmt(y)}" r="10" fill="none"'
             ' stroke="#e09f3e" stroke-width="2.5"/>'
         )
-
-    if overlay:
-        for src in sorted(overlay):
-            dst = overlay[src]
-            if src == dst:
-                x, y = pos[src]
-                out.append(
-                    f'<circle cx="{fmt(x)}" cy="{fmt(y)}" r="7" fill="none"'
-                    ' stroke="#c1121f" stroke-width="1.5"'
-                    ' stroke-dasharray="3 2"/>'
-                )
-            else:
-                line(src, dst,
-                     'stroke="#c1121f" stroke-width="1.5"'
-                     ' stroke-dasharray="5 3" marker-end="url(#arrow)"')
 
     for idx, (x, y) in enumerate(pos):
         out.append(

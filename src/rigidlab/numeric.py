@@ -12,6 +12,11 @@ Two numeric backends coexist and never mix silently:
   Comparisons are tolerance-aware; arithmetic keeps the larger tolerance,
   which does not grow as errors do, so a float verdict proves nothing.
   Exact values become floats only through an explicit ``point_to_float``.
+  Float points reach only the plane primitives and placement enumeration
+  (``bq.placement_order``, ``enumerate_unit_maps``, ``naive_unit_maps``);
+  the other entry points take exact scalars and refuse floats.  The one
+  float output left is a report length whose root leaves its field
+  (``sqrt_value``, ``deviation_value``).
 
 Plain ``int`` and ``Fraction`` values are backend-neutral constants and
 combine with either side.  Combining a QScalar with a float or FloatVal
@@ -650,19 +655,14 @@ def scalar_sign(s) -> int:
     raise TypeError(f"not a scalar: {s!r}")
 
 
-def sqrt_value(s2, tol=DEFAULT_TOL):
-    """Length from a squared length; exact in Q(sqrt(3)) or, for a rational
-    square, in Q(sqrt(3), sqrt(d)), else a float.
+def sqrt_value(s2):
+    """Length from an exact squared length; exact in Q(sqrt(3)) or, for a
+    rational square, in Q(sqrt(3), sqrt(d)), else a float.
 
-    Intended for report fields only.  Certification decisions go through
-    sqrt_diff_within / compare_deviation, which never take square roots.
+    A float square raises MixedBackend.  Intended for report fields only.
+    Certification decisions go through sqrt_diff_within /
+    compare_deviation, which never take square roots.
     """
-    if isinstance(s2, FloatVal):
-        if s2.value < 0 and s2.sign() < 0:
-            raise NegativeRadicand(f"square root of negative value {s2!r}")
-        return FloatVal(math.sqrt(max(s2.value, 0.0)), max(tol, s2.tol))
-    if isinstance(s2, float):
-        return sqrt_value(FloatVal(s2, tol), tol)
     try:
         return sqrt_exact(s2)
     except NotRepresentable:
@@ -672,16 +672,17 @@ def sqrt_value(s2, tol=DEFAULT_TOL):
         # p*q is factored by trial division, so only while that is quick
         if u.is_rational and pq <= _MAX_FACTORED:
             return sqrt_exact(u, (3, _squarefree(pq)[1]))
-        return FloatVal(math.sqrt(u.to_float()), tol)
+        return FloatVal(math.sqrt(u.to_float()))
 
 
-def deviation_value(a2, b2, tol=DEFAULT_TOL):
-    """|sqrt(a2) - sqrt(b2)| as a reportable scalar, exact when possible."""
-    sa = sqrt_value(a2, tol)
-    sb = sqrt_value(b2, tol)
+def deviation_value(a2, b2):
+    """|sqrt(a2) - sqrt(b2)| for exact squared lengths, as a reportable
+    scalar: exact when both roots are (see sqrt_value), else a float."""
+    sa = sqrt_value(a2)
+    sb = sqrt_value(b2)
     if isinstance(sa, QScalar) and isinstance(sb, QScalar):
         return abs(sa - sb)
-    return FloatVal(abs(float(sa) - float(sb)), tol)
+    return FloatVal(abs(float(sa) - float(sb)))
 
 
 def sqrt_diff_within(a2, b2, eps) -> bool:

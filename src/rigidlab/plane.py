@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .errors import MissingTriangle
 from .numeric import (
-    FloatVal,
     Point,
     QScalar,
     circle_intersect,
@@ -314,9 +313,10 @@ def unit_path(frm: Point, to: Point) -> UnitPath:
 
     Strategy: trivial cases first, then a single shared apex while the gap
     allows one, then lattice walks when both endpoints are lattice points,
-    and finally a straight chain of unit hops capped by an apex.  On the
-    exact backend the chain needs the gap length itself to lie in the
-    field, otherwise NotRepresentable propagates.
+    and finally a straight chain of unit hops capped by an apex.  The
+    chain needs the gap length itself to lie in Q(sqrt(3)), otherwise
+    NotRepresentable propagates; a float pair that far apart raises
+    MixedBackend.
     """
     if points_equal(frm, to):
         return UnitPath((frm,))
@@ -330,14 +330,10 @@ def unit_path(frm: Point, to: Point) -> UnitPath:
     if fa is not None and ta is not None:
         walk = _lattice_walk(fa, ta)
         return UnitPath(tuple(lattice_point(a, b) for a, b in walk))
-    # straight chain: k unit hops toward the target, then one apex pair
-    if frm.backend == "exact":
-        d = sqrt_exact(d2)  # NotRepresentable propagates by design
-        k = math.ceil(d) - 2
-    else:
-        d = FloatVal(math.sqrt(d2.value), d2.tol)
-        # remainder d - k lands in (1, 2], so the final apex always exists
-        k = math.ceil(d.value) - 2
+    # straight chain: k unit hops toward the target, then one apex pair;
+    # the remainder d - k lands in (1, 2], so the final apex always exists
+    d = sqrt_exact(d2)  # NotRepresentable propagates by design
+    k = math.ceil(d) - 2
     ux = (to.x - frm.x) / d
     uy = (to.y - frm.y) / d
     chain = [frm]

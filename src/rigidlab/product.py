@@ -13,15 +13,12 @@ and owes nothing to the geometric reasoning that predicted its verdict.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .bq import GrowResult, grow_witness
 from .errors import InconsistentDistances, NotRepresentable
 from .numeric import (
-    DEFAULT_TOL,
     SQRT3,
-    FloatVal,
     Point,
     QScalar,
     deviation_value,
@@ -111,27 +108,20 @@ def find_conflict_edge(S: Orientation, Z: Orientation) -> ConflictEdge:
     return None
 
 
-def trilaterate(d0sq, d1sq, d2sq, tol: float = DEFAULT_TOL) -> Point:
-    """The unique plane point at given squared distances from p0, p1, p2.
+def trilaterate(d0sq, d1sq, d2sq) -> Point:
+    """The unique plane point at given exact squared distances from p0, p1,
+    p2; a float distance raises MixedBackend.
 
     The three anchors are not collinear, so the two distance differences
     fix the point linearly; the remaining residual against d0sq decides
     consistency.
     """
-    vals = (d0sq, d1sq, d2sq)
-    if any(isinstance(v, (FloatVal, float)) for v in vals):
-        ds = [v if isinstance(v, FloatVal) else FloatVal(float(v), tol) for v in vals]
-        t = max(d.tol for d in ds)
-        sqrt3 = FloatVal(math.sqrt(3.0), t)
-        d0, d1, d2 = ds
-    else:
-        coerced = [QScalar._coerce(v) for v in vals]
-        if any(c is None for c in coerced):
-            raise TypeError("trilaterate needs scalar squared distances")
-        d0, d1, d2 = coerced
-        sqrt3 = SQRT3
+    coerced = [QScalar._coerce(v) for v in (d0sq, d1sq, d2sq)]
+    if any(c is None for c in coerced):
+        raise TypeError("trilaterate needs scalar squared distances")
+    d0, d1, d2 = coerced
     x = (d0 - d1 + 1) / 2
-    y = (d0 - d2 + 1 - x) / sqrt3
+    y = (d0 - d2 + 1 - x) / SQRT3
     if not (x * x + y * y == d0):
         raise InconsistentDistances(
             "squared distances admit no common point "

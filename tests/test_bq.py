@@ -24,6 +24,7 @@ from rigidlab.bq import (
 )
 from rigidlab.errors import (
     BudgetExhausted,
+    MixedBackend,
     NotAnchored,
     NotRepresentable,
 )
@@ -367,6 +368,13 @@ class TestCertify:
         g = gadget("rhombus")
         rep = bq_certify(g.points, 0, 3, SQRT3)
         assert rep.certified
+
+    def test_float_figure_refused(self):
+        # the float spindle still enumerates, but certifies nothing
+        with pytest.raises(MixedBackend):
+            bq_certify(gadget("moser-spindle").points, 0, 3, 0)
+        with pytest.raises(MixedBackend):
+            bq_certify(gadget("rhombus").points, 0, 3, 1.75)
 
     def test_maps_leaving_the_field_refused(self, spindle_braced_ball1):
         # the spindles' maps need sqrt(11/148 + sqrt(33)/37); an exact

@@ -153,11 +153,6 @@ class TestSvg:
         svg = pointset_to_svg(ps, orientation_from_bits(ps, 0))
         assert "marker-end" in svg
 
-    def test_overlay_present(self):
-        # render an offending fold map as a dashed overlay
-        svg = pointset_to_svg(lattice_ball(1), overlay={1: 2, 3: 3})
-        assert "stroke-dasharray" in svg
-
     def test_highlight(self):
         svg = pointset_to_svg(lattice_ball(1), highlight=(0, 4))
         assert svg.count('stroke="#e09f3e"') == 2
@@ -178,6 +173,26 @@ def _readme_tour():
 
 
 README_TOUR = _readme_tour()
+
+# each subcommand with its required arguments, and the settings it
+# declares besides --out; a report's config echoes exactly these
+SUBCOMMANDS = {
+    "lattice": ("lattice --radius 1", {"format"}),
+    "orient": ("orient --radius 1", {"seed", "format"}),
+    "hom": ("hom --src c3.json --dst c3.json", {"hom_limit"}),
+    "rigid": ("rigid --input c3.json", set()),
+    "witness": ("witness --kind min --input c3.json --x 0 --y 1", {"branch_limit"}),
+    "certify": ("certify --gadget rhombus --x A --y D --epsilon r3", {"branch_limit"}),
+    "product": ("product --radius 1 --member-bits 0", {"format"}),
+    "verify-all": ("verify-all --out va", {"seed"}),
+}
+UNDECLARED = [
+    f"{argv} --{name.replace('_', '-')} {value}"
+    for argv, declared in SUBCOMMANDS.values()
+    for name, value in (("seed", "1"), ("branch_limit", "1"),
+                        ("hom_limit", "1"), ("format", "svg"))
+    if name not in declared
+]
 
 
 class TestCli:
@@ -208,6 +223,9 @@ class TestCli:
         "hom --src c3.json --dst c3.json --hom-limit 0",
         "hom --src c3.json --dst c3.json --hom-limit -2",
         "witness --kind min --input c3.json --x 0 --y 1 --budget 0",
+        # a flag is accepted only where it is read
+        *UNDECLARED,
+        "product --radius 1 --member-bits 0 --format svg",
     ])
     def test_refused_before_any_output(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -228,6 +246,25 @@ class TestCli:
         argv = shlex.split(cmd)
         assert argv[0] == "rigidlab"
         assert self.run(*argv[1:]) == code
+
+    @pytest.mark.parametrize("command", ["orient", "hom", "rigid", "witness", "certify"])
+    def test_config_holds_declared_settings(self, command, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        save_json(relstruct_to_json(RelStruct(3, ((0, 1), (1, 2), (2, 0)))), "c3.json")
+        argv, declared = SUBCOMMANDS[command]
+        assert self.run(*argv.split(), "--out", "r.json") in (0, 2)
+        assert set(load_json("r.json")["config"]) == declared
+
+    def test_config_echoes_flags(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        save_json(relstruct_to_json(RelStruct(3, ((0, 1), (1, 2), (2, 0)))), "c3.json")
+        assert self.run("hom", "--src", "c3.json", "--dst", "c3.json",
+                        "--hom-limit", "2", "--out", "h.json") == 0
+        doc = load_json("h.json")
+        assert doc["config"] == {"hom_limit": 2} and doc["count"] == 2
+        assert self.run("orient", "--radius", "1", "--mode", "sample",
+                        "--seed", "3", "--out", "o.json") == 0
+        assert load_json("o.json")["config"] == {"seed": 3, "format": "json"}
 
     def test_lattice_writes_seven_points(self, tmp_path):
         out = str(tmp_path / "ball1.json")
@@ -366,6 +403,15 @@ class TestCli:
         assert self.run("certify", "--input", path, "--x", "0,0", "--y=-1,0",
                         "--epsilon", "0", "--out", out) == 4
         assert "not in Q(sqrt(3), sqrt(11), sqrt(33))" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_witness_case1_refusal_is_not_a_budget(self, tmp_path, capsys):
+        # no strategy yields a report: the braced path is not anchored, and
+        # that refusal exits 4, not as a spent budget (3)
+        out = str(tmp_path / "w.json")
+        assert self.run("witness", "--kind", "case1", "--x", "1+1/2r3,1/2",
+                        "--y", "5,0", "--epsilon", "1", "--out", out) == 4
+        assert capsys.readouterr().err.startswith("error: ")
         assert not os.path.exists(out)
 
     def test_witness_case1_inexact_gap(self, tmp_path, capsys):

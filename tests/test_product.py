@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidlab.acceptance import _ball1_orientation_pair
-from rigidlab.errors import BudgetExhausted, InconsistentDistances, NotRepresentable
+from rigidlab.errors import (
+    BudgetExhausted,
+    InconsistentDistances,
+    MixedBackend,
+    NotRepresentable,
+)
 from rigidlab.numeric import FloatVal, Point, QScalar, dist2, points_equal
 from rigidlab.phi import OrientationFamily, count_orientations, orientation_from_bits
 from rigidlab.plane import P0, P1, P2, base_triangle, lattice_ball, lattice_point
@@ -165,8 +170,10 @@ class TestTrilaterate:
         p = Point.approx(0.25, 1.5)
         pf = [Point.approx(0.0, 0.0), Point.approx(1.0, 0.0),
               Point.approx(0.5, 3 ** 0.5 / 2)]
-        q = trilaterate(dist2(pf[0], p), dist2(pf[1], p), dist2(pf[2], p))
-        assert points_equal(p, q)
+        with pytest.raises(MixedBackend):
+            trilaterate(dist2(pf[0], p), dist2(pf[1], p), dist2(pf[2], p))
+        with pytest.raises(MixedBackend):
+            trilaterate(0.0625, 1, 1)
 
 
 class TestCase1:
