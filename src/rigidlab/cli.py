@@ -55,10 +55,23 @@ EXIT_BUDGET = 3
 EXIT_USAGE = 4
 
 
-# flags a report's "config" echoes when its subcommand declares them
+# flags a report's "config" echoes when its subcommand reads them
 _REPORTED = ("seed", "branch_limit", "hom_limit", "format")
 
 _FORMATS = ("json", "dot", "svg")
+
+# the flags each witness kind reads, with their defaults; a flag of
+# another kind is a usage error
+_WITNESS_FLAGS = {
+    "case1": {"x": None, "y": None, "epsilon": None,
+              "branch_limit": DEFAULT_BRANCH_LIMIT},
+    "case2": {"x": None, "radius": 1, "s_bits": None, "z_bits": None},
+    "min": {"x": None, "y": None, "input": None, "budget": 4096},
+}
+_WITNESS_MODAL = {name for own in _WITNESS_FLAGS.values() for name in own}
+
+# orient reads --seed and --count only when sampling
+_SAMPLE_FLAGS = {"seed": 0, "count": 1}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,8 +100,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--radius", type=int, default=None)
     p.add_argument("--input", default=None, help="point-set JSON file")
     p.add_argument("--mode", choices=("all", "count", "sample"), default="count")
-    p.add_argument("--count", type=int, default=1, help="sample size")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=int, default=argparse.SUPPRESS,
+                   help="sample size (--mode sample)")
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                   help="sampling seed (--mode sample)")
     p.add_argument("--format", choices=_FORMATS, default="json")
 
     p = add_parser("hom", help="enumerate homomorphisms between structures")
@@ -101,17 +116,19 @@ def _build_parser() -> _Parser:
     p = add_parser("rigid", help="decide whether a structure is rigid")
     p.add_argument("--input", required=True, help="relstruct JSON file")
 
-    p = add_parser("witness", help="build or search witness sets")
-    p.add_argument("--kind", choices=("case1", "case2", "min"), required=True)
-    p.add_argument("--x", default=None, help="point 'x,y' or element index")
-    p.add_argument("--y", default=None, help="point 'x,y' or element index")
-    p.add_argument("--epsilon", default=None)
-    p.add_argument("--radius", type=int, default=1, help="case2 base ball radius")
-    p.add_argument("--s-bits", type=int, default=None, help="case2 member S")
-    p.add_argument("--z-bits", type=int, default=None, help="case2 member Z")
-    p.add_argument("--input", default=None, help="min: relstruct JSON file")
-    p.add_argument("--budget", type=int, default=4096)
-    p.add_argument("--branch-limit", type=int, default=DEFAULT_BRANCH_LIMIT)
+    # a kind's flags stay unset until _own_flags checks and fills them
+    p = add_parser("witness", help="build or search witness sets",
+                   argument_default=argparse.SUPPRESS)
+    p.add_argument("--kind", choices=tuple(_WITNESS_FLAGS), required=True)
+    p.add_argument("--x", help="point 'x,y' or element index")
+    p.add_argument("--y", help="case1: point 'x,y'; min: element index")
+    p.add_argument("--epsilon", help="case1")
+    p.add_argument("--branch-limit", type=int, help="case1")
+    p.add_argument("--radius", type=int, help="case2 base ball radius")
+    p.add_argument("--s-bits", type=int, help="case2 member S")
+    p.add_argument("--z-bits", type=int, help="case2 member Z")
+    p.add_argument("--input", help="min: relstruct JSON file")
+    p.add_argument("--budget", type=int, help="min")
 
     p = add_parser("certify", help="distance-preservation certificate")
     p.add_argument("--gadget", default=None,
@@ -156,6 +173,19 @@ def _report(command: str, args, body: dict) -> dict:
     return doc
 
 
+def _own_flags(args, modal, own: dict, context: str) -> None:
+    """Refuse the flags of `modal` that `context` does not read, and set
+    the defaults of those it does (`own`).  The parser leaves a flag of
+    `modal` out of args unless the command line gives it."""
+    stray = sorted(name for name in modal if hasattr(args, name) and name not in own)
+    if stray:
+        flags = ", ".join("--" + name.replace("_", "-") for name in stray)
+        raise UsageError(f"{context} does not read {flags}")
+    for name, default in own.items():
+        if not hasattr(args, name):
+            setattr(args, name, default)
+
+
 def _load_pointset_arg(args) -> PointSet:
     if getattr(args, "input", None):
         return pointset_from_json(load_json(args.input))
@@ -176,6 +206,8 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_orient(args) -> int:
+    _own_flags(args, _SAMPLE_FLAGS, _SAMPLE_FLAGS if args.mode == "sample" else {},
+               f"orient --mode {args.mode}")
     ps = _load_pointset_arg(args)
     if args.format != "json" and args.mode != "sample":
         raise UsageError("dot/svg output needs --mode sample")
@@ -239,6 +271,8 @@ def _cmd_rigid(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    _own_flags(args, _WITNESS_MODAL, _WITNESS_FLAGS[args.kind],
+               f"witness --kind {args.kind}")
     if args.kind == "min":
         if not (args.input and args.x is not None and args.y is not None):
             raise UsageError("witness --kind min needs --input, --x, --y")

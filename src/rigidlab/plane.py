@@ -125,6 +125,8 @@ class PointSet:
     def __eq__(self, other):
         if not isinstance(other, PointSet):
             return NotImplemented
+        if self is other:
+            return True
         return len(self) == len(other) and all(
             points_equal(p, q) for p, q in zip(self.points, other.points)
         )

@@ -26,8 +26,8 @@ from .numeric import (
     points_equal,
     sqrt_diff_within,
 )
-from .phi import Orientation, OrientationFamily, orientation_from_bits
-from .plane import TRIANGLE, PointSet, augment_tilde, unit_graph
+from .phi import Orientation, OrientationFamily, _point_label, orientation_from_bits
+from .plane import TRIANGLE, PointSet, augment_tilde
 from .relations import (
     RelStruct,
     WitnessSet,
@@ -67,13 +67,10 @@ def build_product(X: PointSet, J) -> ProductStruct:
         raise ValueError("family base differs from the product base")
     n = len(X)
     pairs = []
-    labels = []
     for s, member in enumerate(J.members):
         pairs.extend((s * n + i, s * n + j) for (i, j) in member.pairs)
-    for s in range(len(J.members)):
-        for i in range(n):
-            fx, fy = X[i].to_float_pair()
-            labels.append(f"({fx:.3g},{fy:.3g})|S{s}")
+    names = [_point_label(p) for p in X]
+    labels = [f"{name}|S{s}" for s in range(len(J.members)) for name in names]
     structure = RelStruct(n * len(J.members), tuple(pairs), tuple(labels))
     return ProductStruct(X, J, structure)
 
@@ -93,12 +90,18 @@ def find_conflict_edge(S: Orientation, Z: Orientation) -> ConflictEdge:
 
     Disagreement means singly oriented in both members, in opposite
     directions; the doubled triangle pairs can never conflict.
+
+    The edges are read off S itself, with no distance computed: every
+    Orientation passed check_phi when it was built, and its union clause
+    says that the pairs of S, taken without direction, are exactly the
+    unit edges of the base.  Sorting that support as (i, j), i < j, gives
+    the order of unit_graph(S.base).edges, so the first conflict is the
+    same edge.
     """
     if S.base != Z.base:
         raise ValueError("orientations live over different bases")
-    g = unit_graph(S.base)
     sp, zp = S.pair_set, Z.pair_set
-    for i, j in g.edges:
+    for i, j in sorted({(min(i, j), max(i, j)) for i, j in S.pairs}):
         s_ij, s_ji = (i, j) in sp, (j, i) in sp
         z_ij, z_ji = (i, j) in zp, (j, i) in zp
         if s_ij and not s_ji and z_ji and not z_ij:

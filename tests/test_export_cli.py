@@ -174,14 +174,14 @@ def _readme_tour():
 
 README_TOUR = _readme_tour()
 
-# each subcommand with its required arguments, and the settings it
-# declares besides --out; a report's config echoes exactly these
+# each subcommand with its required arguments, and the settings that
+# invocation reads besides --out; a report's config echoes exactly these
 SUBCOMMANDS = {
     "lattice": ("lattice --radius 1", {"format"}),
-    "orient": ("orient --radius 1", {"seed", "format"}),
+    "orient": ("orient --radius 1", {"format"}),
     "hom": ("hom --src c3.json --dst c3.json", {"hom_limit"}),
     "rigid": ("rigid --input c3.json", set()),
-    "witness": ("witness --kind min --input c3.json --x 0 --y 1", {"branch_limit"}),
+    "witness": ("witness --kind min --input c3.json --x 0 --y 1", set()),
     "certify": ("certify --gadget rhombus --x A --y D --epsilon r3", {"branch_limit"}),
     "product": ("product --radius 1 --member-bits 0", {"format"}),
     "verify-all": ("verify-all --out va", {"seed"}),
@@ -226,6 +226,18 @@ class TestCli:
         # a flag is accepted only where it is read
         *UNDECLARED,
         "product --radius 1 --member-bits 0 --format svg",
+        # each witness kind refuses the flags of the other two
+        "witness --kind min --input c3.json --x 0 --y 1 --radius 9",
+        "witness --kind min --input c3.json --x 0 --y 1 --epsilon 1",
+        "witness --kind case1 --x 1,0 --y 5,0 --budget 9",
+        "witness --kind case1 --x 1,0 --y 5,0 --s-bits 0",
+        "witness --kind case2 --radius 1 --s-bits 0 --z-bits 1 --x 0,0 --y 1,0",
+        "witness --kind case2 --radius 1 --s-bits 0 --z-bits 1 --x 0,0 --branch-limit 9",
+        "witness --kind case2 --radius 1 --s-bits 0 --z-bits 1 --x 0,0 --input c3.json",
+        # orient reads --seed and --count only when sampling
+        "orient --radius 1 --mode count --seed 5 --count 9",
+        "orient --radius 1 --mode count --seed 0",
+        "orient --radius 1 --mode all --count 1",
     ])
     def test_refused_before_any_output(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -265,6 +277,23 @@ class TestCli:
         assert self.run("orient", "--radius", "1", "--mode", "sample",
                         "--seed", "3", "--out", "o.json") == 0
         assert load_json("o.json")["config"] == {"seed": 3, "format": "json"}
+        assert self.run("orient", "--radius", "1", "--mode", "sample",
+                        "--out", "o.json") == 0
+        assert load_json("o.json")["config"] == {"seed": 0, "format": "json"}
+
+    @pytest.mark.parametrize("argv,config", [
+        ("witness --kind case1 --x 1,0 --y 5,0", {"branch_limit": 500000}),
+        ("witness --kind case1 --x 1,0 --y 5,0 --branch-limit 400000",
+         {"branch_limit": 400000}),
+        ("witness --kind case2 --radius 1 --s-bits 0 --z-bits 1 --x 0,0", {}),
+        ("witness --kind min --input c3.json --x 0 --y 1 --budget 9", {}),
+    ])
+    def test_witness_config_holds_its_kinds_flags(self, argv, config, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        save_json(relstruct_to_json(RelStruct(3, ((0, 1), (1, 2), (2, 0)))), "c3.json")
+        assert self.run(*argv.split(), "--out", "w.json") in (0, 2)
+        assert load_json("w.json")["config"] == config
 
     def test_lattice_writes_seven_points(self, tmp_path):
         out = str(tmp_path / "ball1.json")

@@ -55,6 +55,19 @@ class TestPointSet:
         with pytest.raises(MissingTriangle):
             PointSet([P0, P1]).triangle_indices()
 
+    def test_equality_by_identity_then_value(self, monkeypatch):
+        ps = lattice_ball(2)
+        copy = PointSet(list(ps))
+        assert copy is not ps and copy == ps
+        assert ps != lattice_ball(1)
+        assert ps != PointSet(list(reversed(ps.points)))
+
+        def refuse(p, q):
+            raise AssertionError("a set compared with itself by value")
+
+        monkeypatch.setattr("rigidlab.plane.points_equal", refuse)
+        assert ps == ps and not ps != ps
+
     def test_subset_and_with_points(self):
         ps = base_triangle()
         sub = ps.subset([0, 2])

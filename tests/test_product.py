@@ -17,8 +17,18 @@ from rigidlab.errors import (
 )
 from rigidlab.numeric import FloatVal, Point, QScalar, dist2, points_equal
 from rigidlab.phi import OrientationFamily, count_orientations, orientation_from_bits
-from rigidlab.plane import P0, P1, P2, base_triangle, lattice_ball, lattice_point
+from rigidlab.plane import (
+    P0,
+    P1,
+    P2,
+    PointSet,
+    base_triangle,
+    lattice_ball,
+    lattice_point,
+    unit_graph,
+)
 from rigidlab.product import (
+    ConflictEdge,
     build_product,
     find_conflict_edge,
     trilaterate,
@@ -140,6 +150,47 @@ class TestConflictEdge:
         _, S, Z = _ball1_orientation_pair()
         ce = find_conflict_edge(S, Z)
         assert ce is not None and ce.ui != ce.vi
+
+    @staticmethod
+    def _oracle(S, Z):
+        """The conflict edge found by walking the unit graph of the base,
+        which find_conflict_edge reads off the pairs of S instead."""
+        sp, zp = S.pair_set, Z.pair_set
+        for i, j in unit_graph(S.base).edges:
+            s_ij, s_ji = (i, j) in sp, (j, i) in sp
+            z_ij, z_ji = (i, j) in zp, (j, i) in zp
+            if s_ij and not s_ji and z_ji and not z_ij:
+                return ConflictEdge(S.base[i], S.base[j], i, j)
+            if s_ji and not s_ij and z_ij and not z_ji:
+                return ConflictEdge(S.base[j], S.base[i], j, i)
+        return None
+
+    @pytest.mark.parametrize("radius,include_triangle", [
+        (1, False), (1, True), (2, False), (3, False),
+    ])
+    def test_matches_unit_graph_oracle(self, radius, include_triangle):
+        ps = lattice_ball(radius, include_triangle=include_triangle)
+        twin = PointSet(list(ps))  # equal base, distinct object
+        m = count_orientations(ps).bit_length() - 1
+        rng = random.Random(f"conflict:{radius}")
+        for _ in range(40):
+            s_bits, z_bits = rng.getrandbits(m), rng.getrandbits(m)
+            S = orientation_from_bits(ps, s_bits)
+            Z = orientation_from_bits(ps, z_bits)
+            Zt = orientation_from_bits(twin, z_bits)
+            assert find_conflict_edge(S, S) is None
+            for a, b in ((S, Z), (Z, S), (S, Zt), (Zt, S)):
+                assert find_conflict_edge(a, b) == self._oracle(a, b)
+
+    def test_unequal_bases_refused(self):
+        S = orientation_from_bits(lattice_ball(1), 0)
+        Z = orientation_from_bits(lattice_ball(2), 0)
+        with pytest.raises(ValueError):
+            find_conflict_edge(S, Z)
+        with pytest.raises(ValueError):
+            find_conflict_edge(Z, S)
+        with pytest.raises(ValueError):
+            witness_case2(P0, S, Z)
 
 
 class TestTrilaterate:
@@ -316,6 +367,23 @@ class TestCase2:
         ps, S, _ = _ball1_orientation_pair()
         with pytest.raises(ValueError):
             witness_case2(ps[0], S, S)
+
+    def test_builds_and_verifies_without_distances(self, monkeypatch):
+        # the conflict edge comes from the pairs of S, so building and
+        # verifying the witness computes no distance at all
+        ps = lattice_ball(2)
+        S = orientation_from_bits(ps, 1)
+        Z = orientation_from_bits(ps, 2)
+        expected = witness_case2(ps[3], S, Z)
+
+        def refuse(*args):
+            raise AssertionError("a distance was computed")
+
+        monkeypatch.setattr("rigidlab.plane.is_unit", refuse)
+        monkeypatch.setattr("rigidlab.numeric.dist2", refuse)
+        built = witness_case2(ps[3], S, Z)
+        assert built == expected
+        assert verify_product_witness(built.product, built.witness).valid
 
     @pytest.mark.parametrize("k", range(len(CASE2_INPUTS)))
     def test_contract(self, k):
