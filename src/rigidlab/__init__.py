@@ -39,9 +39,6 @@ from .plane import (
     P2,
     TRIANGLE,
     PointSet,
-    UnitGraph,
-    UnitPath,
-    augment_tilde,
     base_triangle,
     lattice_ball,
     lattice_point,
@@ -100,9 +97,8 @@ __all__ = [
     "DEFAULT_TOL", "SQRT3", "FloatVal", "Point", "QScalar",
     "circle_intersect", "dist2", "is_unit", "parse_scalar", "points_equal",
     "sqrt_exact",
-    "P0", "P1", "P2", "TRIANGLE", "PointSet", "UnitGraph", "UnitPath",
-    "augment_tilde", "base_triangle", "lattice_ball", "lattice_point",
-    "unit_graph", "unit_path",
+    "P0", "P1", "P2", "TRIANGLE", "PointSet", "base_triangle", "lattice_ball",
+    "lattice_point", "unit_graph", "unit_path",
     "RelStruct", "WitnessSet", "brute_force_homs", "check_witness",
     "enumerate_homs", "find_min_witness", "is_rigid", "remark1_check",
     "Orientation", "OrientationFamily", "all_orientations", "check_phi",

@@ -45,7 +45,7 @@ from .phi import (
     observation_verify,
     sample_orientations,
 )
-from .plane import P0, P1, P2, lattice_ball, lattice_point
+from .plane import _HEX_STEPS, P0, P1, P2, lattice_ball, lattice_point
 from .product import (
     build_product,
     find_conflict_edge,
@@ -129,7 +129,7 @@ def run_criterion_3(seed: int = 7) -> CriterionResult:
     def body():
         spindle_ok = False
         try:
-            g = gadget("moser-spindle", backend="exact")
+            g = gadget("moser-spindle")
             a = g.points[g.labeled_index("A")]
             d = g.points[g.labeled_index("D")]
             rep = bq_certify(g.points, a, d, QScalar(0))
@@ -164,7 +164,7 @@ def run_criterion_4(seed: int = 7) -> CriterionResult:
             gadget("rhombus"),
             gadget("chain", n=1),
             gadget("chain", n=5),
-            gadget("moser-spindle"),
+            gadget("moser-spindle", backend="float"),
         ]
         matched, refused, bad = 0, 0, []
         for g in cases:
@@ -190,7 +190,6 @@ def run_criterion_4(seed: int = 7) -> CriterionResult:
     return _timed(4, "enumeration completeness", body)
 
 
-_UNIT_DIRS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 # axial coordinates of the six points at squared distance 3
 _SQRT3_DIRS = ((1, 1), (-1, 2), (-2, 1), (-1, -1), (1, -2), (2, -1))
 
@@ -209,11 +208,11 @@ def _case1_pairs(seed: int) -> list:
         fam = "A" if i < 4 else ("B" if i < 7 else "C")
         k = rng.randrange(6)
         if fam == "A":
-            a, b = _UNIT_DIRS[k]
+            a, b = _HEX_STEPS[k]
             x = lattice_point(a, b)
             m = rng.randrange(4, 10)
         elif fam == "B":
-            a, b = _UNIT_DIRS[k]
+            a, b = _HEX_STEPS[k]
             x = lattice_point(2 * a, 2 * b)
             m = rng.randrange(4, 10)
         else:

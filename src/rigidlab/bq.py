@@ -57,7 +57,7 @@ from .numeric import (
     sqrt_diff_within,
     sqrt_exact,
 )
-from .plane import P0, P1, PointSet, is_connected, unit_graph, unit_path
+from .plane import P0, P1, PointSet, adjacency, is_connected, unit_graph, unit_path
 
 DEFAULT_BRANCH_LIMIT = 500_000
 
@@ -182,12 +182,12 @@ def placement_order(T: PointSet) -> PlacementOrder:
         raise ValueError("empty point set")
     if n == 1:
         return PlacementOrder((0,), ((),))
-    g = unit_graph(T)
-    if not is_connected(g):
+    edges = unit_graph(T)
+    adj = adjacency(n, edges)
+    if not is_connected(adj):
         raise NotAnchored("unit graph is disconnected; no placement order exists")
-    adj = g.adjacency()
     for glue in (False, True):
-        for i, j in g.edges:
+        for i, j in edges:
             for start in ((i, j), (j, i)):
                 placed, anchors, clusters = list(start), [(), ()], [None, None]
                 while True:
@@ -575,7 +575,7 @@ def naive_unit_maps(T: PointSet, order: PlacementOrder = None,
                               normalize_mirror=False, prune_anchors=False)
     if raw.truncated:
         raise BudgetExhausted("naive enumeration exceeded its branch limit", partial=raw)
-    edges = unit_graph(T).edges
+    edges = unit_graph(T)
     out = set()
     for images in raw.maps:
         if all(is_unit(images[i], images[j]) for i, j in edges):
@@ -662,7 +662,7 @@ def gadget_chain(n: int, start: Point = P0, toward: Point = None) -> Gadget:
 _SPINDLE_LABELS = ("A", "B", "C", "D", "E", "F", "G")
 
 
-def gadget_moser_spindle(backend: str = "float") -> Gadget:
+def gadget_moser_spindle(backend: str = "exact") -> Gadget:
     """The 7-point, 11-edge spindle: two rhombi hinged at A with the far
     apexes D and G at unit distance.
 
@@ -791,9 +791,8 @@ def grow_witness(x: Point, y: Point, epsilon, budget: int = DEFAULT_BRANCH_LIMIT
             return got
     # last resort: brace every hop of a generic unit path
     def braced_path_builder():
-        path = unit_path(x, y)
-        pts = list(path.vertices)
-        vs = path.vertices
+        vs = unit_path(x, y)
+        pts = list(vs)
         for j in range(1, len(vs)):
             pts.extend(circle_intersect(vs[j - 1], 1, vs[j], 1))
         return PointSet(pts)

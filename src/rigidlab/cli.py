@@ -341,8 +341,6 @@ def _cmd_certify(args) -> int:
         kwargs = {}
         if args.gadget == "chain":
             kwargs["n"] = args.chain_n
-        if args.gadget == "moser-spindle":
-            kwargs["backend"] = "exact"
         g = gadget(args.gadget, **kwargs)
         ps = g.points
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import UsageError
 from .numeric import Point, QScalar
-from .phi import Orientation
+from .phi import Orientation, _point_label
 from .plane import PointSet, unit_graph
 from .product import ProductStruct
 from .relations import RelStruct
@@ -167,8 +167,7 @@ def relstruct_to_dot(s: RelStruct, name: str = "R") -> str:
     """DOT digraph; mutually related pairs collapse to one bold two-way arc."""
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
     for i in range(s.n):
-        label = s.labels[i] if s.labels else str(i)
-        lines.append(f'  v{i} [label="{label}"];')
+        lines.append(f'  v{i} [label="{s.label(i)}"];')
     pair_set = s.pair_set
     emitted = set()
     for i, j in s.pairs:
@@ -193,9 +192,8 @@ def orientation_to_dot(o: Orientation, name: str = "S") -> str:
 def unitgraph_to_dot(ps: PointSet, name: str = "U") -> str:
     lines = [f"graph {name} {{"]
     for i, p in enumerate(ps):
-        fx, fy = p.to_float_pair()
-        lines.append(f'  v{i} [label="({fx:.3g},{fy:.3g})"];')
-    for i, j in unit_graph(ps).edges:
+        lines.append(f'  v{i} [label="{_point_label(p)}"];')
+    for i, j in unit_graph(ps):
         lines.append(f"  v{i} -- v{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -243,7 +241,7 @@ def pointset_to_svg(ps: PointSet, orientation: Orientation = None,
             f' x2="{fmt(pos[b][0])}" y2="{fmt(pos[b][1])}" {style}/>'
         )
 
-    edges = unit_graph(ps).edges
+    edges = unit_graph(ps)
     if orientation is None:
         for i, j in edges:
             line(i, j, 'stroke="#888888" stroke-width="1.5"')

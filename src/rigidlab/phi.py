@@ -54,16 +54,10 @@ class Orientation:
         Element k of the result is subset[k]; pairs survive when both ends
         lie in the subset.
         """
-        idx = []
-        for p in subset:
-            i = self.base.index_of(p)
-            if i < 0:
-                raise ValueError("subset point not in orientation base")
-            idx.append(i)
-        pos = {v: k for k, v in enumerate(idx)}
-        pr = [(pos[i], pos[j]) for (i, j) in self.pairs if i in pos and j in pos]
-        labels = tuple(_point_label(p) for p in subset)
-        return RelStruct(len(idx), tuple(pr), labels)
+        idx = [self.base.index_of(p) for p in subset]
+        if -1 in idx:
+            raise ValueError("subset point not in orientation base")
+        return self.relstruct().restrict(idx)
 
     def free_edges(self) -> tuple:
         """Unit edges not forced by the triangle, as sorted (i, j), i < j."""
@@ -101,8 +95,7 @@ def check_phi(base: PointSet, pairs) -> PhiReport:
         if not (0 <= i < len(base) and 0 <= j < len(base)):
             return PhiReport(False, f"pair ({i},{j}) out of range")
 
-    g = unit_graph(base)
-    unit_edges = set(g.edges)
+    unit_edges = set(unit_graph(base))
     undirected = {_norm_edge(i, j) for i, j in pair_set}
     if undirected != unit_edges:
         return PhiReport(False, "union clause: directed pairs do not cover the unit edges exactly")
@@ -125,8 +118,7 @@ def _forced_pairs(base: PointSet) -> tuple:
 def _free_edges(base: PointSet) -> tuple:
     t0, t1, t2 = base.triangle_indices()
     forced = {_norm_edge(t0, t1), _norm_edge(t0, t2), _norm_edge(t1, t2)}
-    g = unit_graph(base)
-    return tuple(e for e in g.edges if e not in forced)
+    return tuple(e for e in unit_graph(base) if e not in forced)
 
 
 def orientation_from_bits(base: PointSet, bits: int) -> Orientation:
@@ -254,7 +246,7 @@ def observation_verify(X: PointSet, S: Orientation, Z: Orientation,
     violations = []
     tri_ok = True
     units_ok = True
-    unit_pairs = [(i, j) for (i, j) in unit_graph(X).edges]
+    unit_pairs = unit_graph(X)
     for vec in result.maps:
         for corner in range(3):
             if vec[tx[corner]] != tc[corner]:

@@ -1,5 +1,5 @@
 """Finite plane fragments: point sets, the base triangle, the triangular
-lattice, induced unit-distance graphs, unit paths and connectivity repair.
+lattice, induced unit-distance graphs and unit paths.
 
 The base triangle p0=(0,0), p1=(1,0), p2=(1/2, sqrt(3)/2) is the fixed
 frame all orientation machinery is anchored to.  All three corners are
@@ -10,7 +10,6 @@ automatically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MissingTriangle
@@ -135,52 +134,30 @@ class PointSet:
         return f"PointSet({len(self.points)} points, {self.backend})"
 
 
-@dataclass(frozen=True)
-class UnitGraph:
-    """Undirected unit-distance graph induced on a PointSet."""
-
-    base: PointSet
-    edges: tuple  # sorted (i, j) pairs with i < j
-
-    def neighbors(self, i: int) -> tuple:
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return tuple(sorted(out))
-
-    def adjacency(self) -> list:
-        adj = [[] for _ in range(len(self.base))]
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return [sorted(x) for x in adj]
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-
-def unit_graph(ps: PointSet) -> UnitGraph:
-    """All unit-distance pairs of a point set, deterministically ordered."""
+def unit_graph(ps: PointSet) -> tuple:
+    """All unit-distance pairs (i, j), i < j, of a point set, sorted."""
     edges = []
     pts = ps.points
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if is_unit(pts[i], pts[j]):
                 edges.append((i, j))
-    return UnitGraph(ps, tuple(edges))
+    return tuple(edges)
 
 
-def components(g) -> list:
-    """Connected components of a UnitGraph or PointSet as sorted index
-    lists, ordered by least member."""
-    if isinstance(g, PointSet):
-        g = unit_graph(g)
-    adj = g.adjacency()
-    n = len(g.base)
+def adjacency(n: int, edges) -> list:
+    """Sorted neighbor list of each of n vertices under the (i, j) edges."""
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return [sorted(x) for x in adj]
+
+
+def components(adj) -> list:
+    """Connected components of an adjacency as sorted index lists, ordered
+    by least member."""
+    n = len(adj)
     seen = [False] * n
     comps = []
     for start in range(n):
@@ -200,8 +177,8 @@ def components(g) -> list:
     return comps
 
 
-def is_connected(g) -> bool:
-    return len(components(g)) <= 1
+def is_connected(adj) -> bool:
+    return len(components(adj)) <= 1
 
 
 def hex_distance(a: int, b: int) -> int:
@@ -259,30 +236,6 @@ def base_triangle() -> PointSet:
     return PointSet(TRIANGLE)
 
 
-@dataclass(frozen=True)
-class UnitPath:
-    """Sequence of points with consecutive unit distances."""
-
-    vertices: tuple
-
-    def __post_init__(self):
-        vs = tuple(self.vertices)
-        object.__setattr__(self, "vertices", vs)
-        for a, b in zip(vs, vs[1:]):
-            if not is_unit(a, b):
-                raise ValueError("consecutive path points must be unit distance apart")
-
-    @property
-    def m(self) -> int:
-        return len(self.vertices) - 1
-
-    def __iter__(self):
-        return iter(self.vertices)
-
-    def __len__(self):
-        return len(self.vertices)
-
-
 _HEX_STEPS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 
 
@@ -310,8 +263,8 @@ def _apex_between(u: Point, v: Point) -> Point:
     return hits[0]
 
 
-def unit_path(frm: Point, to: Point) -> UnitPath:
-    """A unit path from `frm` to `to`.
+def unit_path(frm: Point, to: Point) -> tuple:
+    """The vertices of a unit path from `frm` to `to`.
 
     Strategy: trivial cases first, then a single shared apex while the gap
     allows one, then lattice walks when both endpoints are lattice points,
@@ -321,17 +274,17 @@ def unit_path(frm: Point, to: Point) -> UnitPath:
     MixedBackend.
     """
     if points_equal(frm, to):
-        return UnitPath((frm,))
+        return (frm,)
     d2 = dist2(frm, to)
     if d2 == 1:
-        return UnitPath((frm, to))
+        return (frm, to)
     if scalar_sign(d2 - 4) <= 0:
-        return UnitPath((frm, _apex_between(frm, to), to))
+        return (frm, _apex_between(frm, to), to)
     fa = lattice_coords(frm)
     ta = lattice_coords(to)
     if fa is not None and ta is not None:
         walk = _lattice_walk(fa, ta)
-        return UnitPath(tuple(lattice_point(a, b) for a, b in walk))
+        return tuple(lattice_point(a, b) for a, b in walk)
     # straight chain: k unit hops toward the target, then one apex pair;
     # the remainder d - k lands in (1, 2], so the final apex always exists
     d = sqrt_exact(d2)  # NotRepresentable propagates by design
@@ -343,28 +296,4 @@ def unit_path(frm: Point, to: Point) -> UnitPath:
         chain.append(Point(frm.x + j * ux, frm.y + j * uy))
     chain.append(_apex_between(chain[-1], to))
     chain.append(to)
-    return UnitPath(tuple(chain))
-
-
-def augment_tilde(T: PointSet, x: Point) -> PointSet:
-    """Extend T with unit paths so the unit graph on the result is connected
-    and every original point reaches x inside the result.
-
-    Already-connected inputs come back unchanged apart from x being added.
-    """
-    working = T.with_points([x])
-    while True:
-        g = unit_graph(working)
-        comps = components(g)
-        if len(comps) <= 1:
-            return working
-        xi = working.index_of(x)
-        extra = []
-        for comp in comps:
-            if xi in comp:
-                continue
-            rep = working[comp[0]]
-            path = unit_path(rep, x)
-            extra.extend(path.vertices)
-        # paths can only merge components toward x, so this terminates
-        working = working.with_points(extra)
+    return tuple(chain)

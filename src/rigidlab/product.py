@@ -27,7 +27,7 @@ from .numeric import (
     sqrt_diff_within,
 )
 from .phi import Orientation, OrientationFamily, _point_label, orientation_from_bits
-from .plane import TRIANGLE, PointSet, augment_tilde
+from .plane import TRIANGLE, PointSet
 from .relations import (
     RelStruct,
     WitnessSet,
@@ -95,8 +95,8 @@ def find_conflict_edge(S: Orientation, Z: Orientation) -> ConflictEdge:
     Orientation passed check_phi when it was built, and its union clause
     says that the pairs of S, taken without direction, are exactly the
     unit edges of the base.  Sorting that support as (i, j), i < j, gives
-    the order of unit_graph(S.base).edges, so the first conflict is the
-    same edge.
+    the order of unit_graph(S.base), so the first conflict is the same
+    edge.
     """
     if S.base != Z.base:
         raise ValueError("orientations live over different bases")
@@ -152,11 +152,14 @@ def witness_case1(x: Point, y: Point, epsilon=None,
     """Build and package a witness separating x from y.
 
     Picks the first triangle corner whose distances to x and y differ,
-    grows a set certifying that distance to within half the gap, connects
-    it up, and crosses with a single canonical orientation.  The witness
-    then contains x, the triangle, and the certificate set; the target y
-    only joins the ambient universe.  x and y are exact; a gap with no
-    exact value (see deviation_value) raises NotRepresentable.
+    grows a set certifying that distance to within half the gap, and
+    crosses the triangle plus that set with a single canonical
+    orientation; the target y only joins the ambient universe.  The set
+    needs no connecting unit paths: it holds x, since bq_certify measured
+    x in it, and its unit graph is connected, since placement_order
+    raises NotAnchored on any other, so x already reaches all of it.  x
+    and y are exact; a gap with no exact value (see deviation_value)
+    raises NotRepresentable.
     """
     if points_equal(x, y):
         raise ValueError("witness construction requires x != y")
@@ -174,8 +177,7 @@ def witness_case1(x: Point, y: Point, epsilon=None,
         epsilon = gap / 2
 
     grow = grow_witness(anchor, x, epsilon, budget=budget)
-    connected = augment_tilde(grow.points, x)
-    witness_points = PointSet(list(TRIANGLE) + list(connected))
+    witness_points = PointSet(list(TRIANGLE) + list(grow.points))
     universe = witness_points.with_points([y])
 
     S = orientation_from_bits(universe, 0)

@@ -90,9 +90,6 @@ class RelStruct:
         tables = (None,) + tuple((m, _or_all(m)) for m in (succ, pred, both))
         return loop_mask, tables
 
-    def has(self, i: int, j: int) -> bool:
-        return (i, j) in self.pair_set
-
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels else str(i)
 

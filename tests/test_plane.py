@@ -1,4 +1,4 @@
-"""Lattice fragments, unit graphs, paths, and connectivity augmentation."""
+"""Lattice fragments, unit graphs and unit paths."""
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +12,7 @@ from rigidlab.plane import (
     P2,
     TRIANGLE,
     PointSet,
-    UnitPath,
-    augment_tilde,
+    adjacency,
     base_triangle,
     components,
     is_connected,
@@ -82,7 +81,7 @@ class TestLattice:
         assert len(lattice_ball(radius)) == count
 
     def test_ball1_edges(self):
-        assert unit_graph(lattice_ball(1)).edge_count == 12
+        assert len(unit_graph(lattice_ball(1))) == 12
 
     def test_ball_contains_triangle(self):
         assert lattice_ball(1).contains_triangle()
@@ -106,41 +105,51 @@ class TestLattice:
 
 class TestUnitGraph:
     def test_triangle_edges(self):
-        g = unit_graph(base_triangle())
-        assert g.edges == ((0, 1), (0, 2), (1, 2))
-        assert g.neighbors(0) == (1, 2)
+        edges = unit_graph(base_triangle())
+        assert edges == ((0, 1), (0, 2), (1, 2))
+        assert adjacency(3, edges)[0] == [1, 2]
 
     def test_components(self):
         ps = PointSet([P0, P1, lattice_point(5, 0), lattice_point(6, 0)])
-        comps = components(ps)
+        adj = adjacency(len(ps), unit_graph(ps))
+        comps = components(adj)
         assert comps == [[0, 1], [2, 3]]
-        assert not is_connected(ps)
-        assert is_connected(base_triangle())
+        assert not is_connected(adj)
+        assert is_connected(adjacency(3, unit_graph(base_triangle())))
 
 
 class TestUnitPath:
-    def test_validates_steps(self):
-        UnitPath((P0, P1))
-        with pytest.raises(ValueError):
-            UnitPath((P0, lattice_point(2, 0)))
-
     def test_single_point(self):
-        p = unit_path(P0, P0)
-        assert p.vertices == (P0,)
+        assert unit_path(P0, P0) == (P0,)
 
     @given(lattice_pts, lattice_pts)
     @settings(max_examples=60)
     def test_endpoints_and_steps(self, a, b):
         path = unit_path(a, b)
-        assert points_equal(path.vertices[0], a)
-        assert points_equal(path.vertices[-1], b)
-        for u, v in zip(path.vertices, path.vertices[1:]):
+        assert points_equal(path[0], a)
+        assert points_equal(path[-1], b)
+        for u, v in zip(path, path[1:]):
             assert is_unit(u, v)
 
     def test_short_hop_uses_apex(self):
         # squared distance 3: one intermediate apex suffices
         path = unit_path(P0, lattice_point(1, 1))
-        assert path.m == 2
+        assert len(path) == 3
+
+    @pytest.mark.parametrize("to", [
+        Point(QScalar(2, 1), QScalar(0)),
+        Point(QScalar(0), QScalar(3, 1)),
+        Point.exact("3", "4"),
+    ], ids=["2+r3,0", "0,3+r3", "3,4"])
+    def test_straight_chain_hops(self, to):
+        # an off-lattice endpoint more than two units away takes the
+        # straight chain of unit hops capped by an apex
+        assert lattice_coords(to) is None
+        path = unit_path(P0, to)
+        assert points_equal(path[0], P0) and points_equal(path[-1], to)
+        assert len(path) >= 4
+        for u, v in zip(path, path[1:]):
+            assert dist2(u, v) == QScalar(1)
 
     def test_float_far_pair(self):
         # the straight chain is exact only; floats are not rounded into it
@@ -152,19 +161,3 @@ class TestUnitPath:
         with pytest.raises(NotRepresentable):
             unit_path(P0, Point.exact("0", "13/12r3"))
 
-
-class TestAugment:
-    @given(st.lists(lattice_pts, min_size=1, max_size=6), lattice_pts)
-    @settings(max_examples=60)
-    def test_augment_connects(self, pts, x):
-        T = PointSet(pts)
-        out = augment_tilde(T, x)
-        assert is_connected(out)
-        assert out.index_of(x) >= 0
-        for p in T:
-            assert out.index_of(p) >= 0
-
-    def test_augment_noop_when_connected(self):
-        T = PointSet([P0, P1])
-        out = augment_tilde(T, P2)
-        assert len(out) == 3

@@ -21,8 +21,11 @@ from rigidlab.plane import (
     P0,
     P1,
     P2,
+    TRIANGLE,
     PointSet,
+    adjacency,
     base_triangle,
+    is_connected,
     lattice_ball,
     lattice_point,
     unit_graph,
@@ -156,7 +159,7 @@ class TestConflictEdge:
         """The conflict edge found by walking the unit graph of the base,
         which find_conflict_edge reads off the pairs of S instead."""
         sp, zp = S.pair_set, Z.pair_set
-        for i, j in unit_graph(S.base).edges:
+        for i, j in unit_graph(S.base):
             s_ij, s_ji = (i, j) in sp, (j, i) in sp
             z_ij, z_ji = (i, j) in zp, (j, i) in zp
             if s_ij and not s_ji and z_ji and not z_ij:
@@ -269,6 +272,20 @@ class TestCase1:
         built = witness_case1(x, y)
         assert built.strict_exclusion
         assert verify_product_witness(built.product, built.witness).valid
+
+    @pytest.mark.parametrize("x,y", [pair[1:] for pair in CASE1_PAIRS]
+                             + [(lattice_point(1, 0), lattice_point(2, 1))],
+                             ids=[pair[0] for pair in CASE1_PAIRS] + ["gap-sqrt7-1"])
+    def test_grown_set_needs_no_connecting_paths(self, x, y):
+        # the certified set holds x and its unit graph is connected, so the
+        # witness is the triangle followed by that set, with nothing added
+        built = witness_case1(x, y)
+        T = built.grow.points
+        assert x in T
+        assert is_connected(adjacency(len(T), unit_graph(T)))
+        P = built.product
+        points = tuple(P.base[P.decode(e)[0]] for e in built.witness.subset)
+        assert points == PointSet(list(TRIANGLE) + list(T)).points
 
     def test_family_pairs_count(self):
         # 6 edge directions x 6 gaps + 3 ladders x 6 x 4 + 6 rhombi x 4
