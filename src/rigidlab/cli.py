@@ -25,9 +25,9 @@ from .export import (
     pointset_from_json,
     pointset_to_json,
     pointset_to_svg,
+    product_to_dot,
     product_to_json,
     relstruct_from_json,
-    relstruct_to_dot,
     unitgraph_to_dot,
     write_text_atomic,
 )
@@ -378,16 +378,16 @@ def _cmd_product(args) -> int:
     members = tuple(orientation_from_bits(ps, bits) for bits in args.member_bits)
     family = OrientationFamily(ps, members)
     P = build_product(ps, family)
+    if args.format == "dot":
+        _emit(product_to_dot(P), args)
+        return EXIT_OK
     doc = product_to_json(P)
     if len(members) >= 2:
         conflict = find_conflict_edge(members[0], members[1])
         doc["first_conflict"] = (
             None if conflict is None else [conflict.ui, conflict.vi]
         )
-    if args.format == "dot":
-        _emit(relstruct_to_dot(P.structure, "P"), args)
-    else:
-        _emit(dumps_canonical(doc), args)
+    _emit(dumps_canonical(doc), args)
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import UsageError
 from .numeric import Point, QScalar
-from .phi import Orientation, _point_label
+from .phi import Orientation
 from .plane import PointSet, unit_graph
 from .product import ProductStruct
 from .relations import RelStruct
@@ -49,7 +49,7 @@ MAX_RADICAND = 10**9
 
 
 def scalar_from_json(obj):
-    if not isinstance(obj, dict) or "a" not in obj:
+    if not isinstance(obj, dict) or "a" not in obj or "b" not in obj:
         raise UsageError(f"a scalar is exact: an object with keys 'a' and 'b', got {obj!r}")
     ext = []
     for d, c in obj.get("ext", ()):
@@ -70,30 +70,28 @@ def pointset_to_json(ps: PointSet) -> dict:
 def pointset_from_json(obj) -> PointSet:
     _expect_schema(obj, SCHEMA_POINTSET)
     points = [
-        Point(scalar_from_json(x), scalar_from_json(y)) for x, y in obj["points"]
+        Point(scalar_from_json(x), scalar_from_json(y)) for x, y in _field(obj, "points")
     ]
     return PointSet(points)
 
 
 def relstruct_to_json(s: RelStruct) -> dict:
-    doc = {
+    return {
         "schema": SCHEMA_RELSTRUCT,
         "n": s.n,
         "pairs": [list(p) for p in s.pairs],
     }
-    if s.labels is not None:
-        doc["labels"] = list(s.labels)
-    return doc
 
 
 def relstruct_from_json(obj) -> RelStruct:
+    """A relstruct document; its optional `labels`, one name per element,
+    are checked and then dropped, since no search reads a name."""
     _expect_schema(obj, SCHEMA_RELSTRUCT)
-    labels = tuple(obj["labels"]) if "labels" in obj else None
-    return RelStruct(
-        int(obj["n"]),
-        tuple((int(a), int(b)) for a, b in obj["pairs"]),
-        labels,
-    )
+    n = int(_field(obj, "n"))
+    labels = obj.get("labels")
+    if labels is not None and (not isinstance(labels, list) or len(labels) != n):
+        raise UsageError(f"labels must list one name per element, n={n}")
+    return RelStruct(n, tuple((int(a), int(b)) for a, b in _field(obj, "pairs")))
 
 
 def orientation_to_json(o: Orientation) -> dict:
@@ -106,8 +104,8 @@ def orientation_to_json(o: Orientation) -> dict:
 
 def orientation_from_json(obj) -> Orientation:
     _expect_schema(obj, SCHEMA_ORIENTATION)
-    base = pointset_from_json(obj["base"])
-    return Orientation(base, tuple((int(a), int(b)) for a, b in obj["pairs"]))
+    base = pointset_from_json(_field(obj, "base"))
+    return Orientation(base, tuple((int(a), int(b)) for a, b in _field(obj, "pairs")))
 
 
 def product_to_json(P: ProductStruct) -> dict:
@@ -132,6 +130,12 @@ def _expect_schema(obj, schema: str) -> None:
     found = obj.get("schema") if isinstance(obj, dict) else None
     if found != schema:
         raise UsageError(f"expected a {schema} document, found schema {found!r}")
+
+
+def _field(obj: dict, key: str):
+    if key not in obj:
+        raise UsageError(f"{obj['schema']} document lacks the key {key!r}")
+    return obj[key]
 
 
 def dumps_canonical(doc) -> str:
@@ -163,11 +167,18 @@ def load_json(path: str):
         return json.load(fh)
 
 
-def relstruct_to_dot(s: RelStruct, name: str = "R") -> str:
-    """DOT digraph; mutually related pairs collapse to one bold two-way arc."""
+def _point_label(p) -> str:
+    x, y = p.to_float_pair()
+    return f"({x:.3g},{y:.3g})"
+
+
+def relstruct_to_dot(s: RelStruct, name: str = "R", labels=None) -> str:
+    """DOT digraph; mutually related pairs collapse to one bold two-way arc.
+
+    Element i is named labels[i], or i when no labels are given."""
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
     for i in range(s.n):
-        lines.append(f'  v{i} [label="{s.label(i)}"];')
+        lines.append(f'  v{i} [label="{labels[i] if labels else i}"];')
     pair_set = s.pair_set
     emitted = set()
     for i, j in s.pairs:
@@ -186,7 +197,14 @@ def relstruct_to_dot(s: RelStruct, name: str = "R") -> str:
 
 
 def orientation_to_dot(o: Orientation, name: str = "S") -> str:
-    return relstruct_to_dot(o.relstruct(), name)
+    return relstruct_to_dot(o.relstruct(), name, [_point_label(p) for p in o.base])
+
+
+def product_to_dot(P: ProductStruct) -> str:
+    """Element (point i, member s) is named by the point and S{s}."""
+    names = [_point_label(p) for p in P.base]
+    labels = [f"{x}|S{s}" for s in range(len(P.family)) for x in names]
+    return relstruct_to_dot(P.structure, "P", labels)
 
 
 def unitgraph_to_dot(ps: PointSet, name: str = "U") -> str:

@@ -21,7 +21,7 @@ import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DuplicateMember, MissingTriangle, UsageError
+from .errors import DuplicateMember, EmptyFamily, MissingTriangle, UsageError
 from .numeric import is_unit
 from .plane import PointSet, unit_graph
 from .relations import RelStruct, enumerate_homs
@@ -45,8 +45,7 @@ class Orientation:
         return frozenset(self.pairs)
 
     def relstruct(self) -> RelStruct:
-        labels = tuple(_point_label(p) for p in self.base)
-        return RelStruct(len(self.base), self.pairs, labels)
+        return RelStruct(len(self.base), self.pairs)
 
     def restrict(self, subset: PointSet) -> RelStruct:
         """Relational structure induced on a subset of the base points.
@@ -70,11 +69,6 @@ class Orientation:
 
     def __hash__(self):
         return hash(self.pairs)
-
-
-def _point_label(p) -> str:
-    x, y = p.to_float_pair()
-    return f"({x:.3g},{y:.3g})"
 
 
 def _norm_edge(i: int, j: int) -> tuple:
@@ -163,7 +157,9 @@ def _sample_bits(seed: int, counter: int, free_edges) -> int:
 
 
 def sample_orientations(base: PointSet, seed: int, k: int) -> list:
-    """k distinct admissible orientations, reproducible from the seed."""
+    """k >= 1 distinct admissible orientations, reproducible from the seed."""
+    if k < 1:
+        raise ValueError(f"sample size must be at least 1, got {k}")
     free = _free_edges(base)
     total = 1 << len(free)
     if k > total:
@@ -191,13 +187,10 @@ class OrientationFamily:
 
     base: PointSet
     members: tuple
-    name: str = "J"
 
     def __post_init__(self):
         members = tuple(self.members)
         object.__setattr__(self, "members", members)
-        from .errors import EmptyFamily
-
         if not members:
             raise EmptyFamily("orientation family needs at least one member")
         seen = set()

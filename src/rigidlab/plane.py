@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import MissingTriangle
+from .errors import MissingTriangle, MixedBackend
 from .numeric import (
     Point,
     QScalar,
@@ -60,8 +60,6 @@ class PointSet:
             if backend is None:
                 backend = p.backend
             elif p.backend != backend:
-                from .errors import MixedBackend
-
                 raise MixedBackend("point set mixes exact and float points")
             if backend == "exact":
                 key = _exact_key(p)

@@ -26,7 +26,7 @@ from .numeric import (
     points_equal,
     sqrt_diff_within,
 )
-from .phi import Orientation, OrientationFamily, _point_label, orientation_from_bits
+from .phi import Orientation, OrientationFamily, orientation_from_bits
 from .plane import TRIANGLE, PointSet
 from .relations import (
     RelStruct,
@@ -69,9 +69,7 @@ def build_product(X: PointSet, J) -> ProductStruct:
     pairs = []
     for s, member in enumerate(J.members):
         pairs.extend((s * n + i, s * n + j) for (i, j) in member.pairs)
-    names = [_point_label(p) for p in X]
-    labels = [f"{name}|S{s}" for s in range(len(J.members)) for name in names]
-    structure = RelStruct(n * len(J.members), tuple(pairs), tuple(labels))
+    structure = RelStruct(n * len(J.members), tuple(pairs))
     return ProductStruct(X, J, structure)
 
 

@@ -54,7 +54,6 @@ class RelStruct:
 
     n: int
     pairs: tuple  # sorted, deduplicated (i, j) tuples
-    labels: tuple = None
 
     def __post_init__(self):
         pr = tuple(sorted({(int(i), int(j)) for i, j in self.pairs}))
@@ -62,11 +61,6 @@ class RelStruct:
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(f"pair ({i},{j}) out of range for n={self.n}")
         object.__setattr__(self, "pairs", pr)
-        if self.labels is not None:
-            lb = tuple(str(x) for x in self.labels)
-            if len(lb) != self.n:
-                raise ValueError("labels length must equal n")
-            object.__setattr__(self, "labels", lb)
 
     @cached_property
     def pair_set(self) -> frozenset:
@@ -90,16 +84,12 @@ class RelStruct:
         tables = (None,) + tuple((m, _or_all(m)) for m in (succ, pred, both))
         return loop_mask, tables
 
-    def label(self, i: int) -> str:
-        return self.labels[i] if self.labels else str(i)
-
     def restrict(self, indices) -> "RelStruct":
         """Induced substructure; element k is the k-th listed index."""
         idx = list(indices)
         pos = {v: k for k, v in enumerate(idx)}
         pr = [(pos[i], pos[j]) for (i, j) in self.pairs if i in pos and j in pos]
-        lb = tuple(self.label(v) for v in idx) if self.labels else None
-        return RelStruct(len(idx), tuple(pr), lb)
+        return RelStruct(len(idx), tuple(pr))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Serialization roundtrips, drawing output, and the CLI surface."""
 
+import hashlib
 import json
 import os
 import re
@@ -70,9 +71,23 @@ class TestJsonRoundtrip:
             scalar_from_json({"value": 0.5, "tol": 1e-9})
 
     def test_relstruct(self):
-        s = RelStruct(3, ((0, 1), (2, 0)), ("a", "b", "c"))
+        s = RelStruct(3, ((0, 1), (2, 0)))
         back = relstruct_from_json(relstruct_to_json(s))
         assert back == s
+
+    def test_relstruct_labels_checked_then_dropped(self):
+        doc = {**relstruct_to_json(RelStruct(3, ((0, 1),))), "labels": ["a", "b", "c"]}
+        assert relstruct_from_json(doc) == RelStruct(3, ((0, 1),))
+        with pytest.raises(UsageError, match="labels"):
+            relstruct_from_json({**doc, "labels": ["a", "b"]})
+
+    def test_missing_key_named(self):
+        with pytest.raises(UsageError, match="'n'"):
+            relstruct_from_json({"schema": "rigidlab.relstruct/1", "pairs": []})
+        with pytest.raises(UsageError, match="'points'"):
+            pointset_from_json({"schema": "rigidlab.pointset/1"})
+        with pytest.raises(UsageError, match="'b'"):
+            scalar_from_json({"a": "1"})
 
     def test_orientation(self):
         ps = lattice_ball(1)
@@ -136,6 +151,9 @@ class TestDot:
     def test_relstruct_nodes(self):
         dot = relstruct_to_dot(RelStruct(3, ((0, 1),)))
         assert dot.count("[label=") == 3
+        assert 'v2 [label="2"]' in dot
+        named = relstruct_to_dot(RelStruct(3, ((0, 1),)), labels=["a", "b", "c"])
+        assert 'v2 [label="c"]' in named
 
     def test_unitgraph_undirected(self):
         dot = unitgraph_to_dot(base_triangle())
@@ -185,6 +203,15 @@ SUBCOMMANDS = {
     "certify": ("certify --gadget rhombus --x A --y D --epsilon r3", {"branch_limit"}),
     "product": ("product --radius 1 --member-bits 0", {"format"}),
     "verify-all": ("verify-all --out va", {"seed"}),
+}
+# documents a reader must refuse
+MALFORMED = {
+    "no_n.json": {"schema": "rigidlab.relstruct/1", "pairs": []},
+    "short_labels.json": {"schema": "rigidlab.relstruct/1", "n": 3,
+                          "pairs": [], "labels": ["a", "b"]},
+    "no_b.json": {"schema": "rigidlab.pointset/1",
+                  "points": [[{"a": "0"}, {"a": "0", "b": "0"}]]},
+    "no_points.json": {"schema": "rigidlab.pointset/1", "backend": "exact"},
 }
 UNDECLARED = [
     f"{argv} --{name.replace('_', '-')} {value}"
@@ -238,15 +265,37 @@ class TestCli:
         "orient --radius 1 --mode count --seed 5 --count 9",
         "orient --radius 1 --mode count --seed 0",
         "orient --radius 1 --mode all --count 1",
+        # a sample has at least one member
+        "orient --radius 1 --mode sample --count 0",
+        "orient --radius 1 --mode sample --count -2",
+        "orient --radius 1 --mode sample --count 0 --format svg",
+        # malformed documents
+        "hom --src no_n.json --dst c3.json",
+        "hom --src short_labels.json --dst c3.json",
+        "certify --input no_b.json --x 0,0 --y 1,0 --epsilon 0",
+        "orient --input no_points.json",
+        "certify --input no_points.json --x 0,0 --y 1,0 --epsilon 0",
     ])
     def test_refused_before_any_output(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         save_json(relstruct_to_json(RelStruct(3, ((0, 1), (1, 2), (2, 0)))), "c3.json")
+        for name, doc in MALFORMED.items():
+            save_json(doc, name)
         assert self.run(*argv.split()) == 4
         captured = capsys.readouterr()
         assert captured.err.startswith("usage error: ")
         assert captured.out == ""
-        assert sorted(os.listdir(tmp_path)) == ["c3.json"]
+        assert sorted(os.listdir(tmp_path)) == sorted(["c3.json", *MALFORMED])
+
+    @pytest.mark.parametrize("argv,sha256", [
+        ("product --radius 1 --member-bits 0 --member-bits 5 --format dot",
+         "4a944aecb012885a54950495fce031e4b24ee6eeabc8778c5f14d7dc44861166"),
+        ("orient --radius 2 --mode sample --count 3 --seed 4 --format dot",
+         "88cd665725ee866f023895c19e7c9a3c00a35c0a7f55f0793da2fef1f54219f3"),
+    ])
+    def test_dot_bytes_pinned(self, argv, sha256, capsys):
+        assert self.run(*argv.split()) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
     @pytest.mark.parametrize("cmd,code", README_TOUR,
                              ids=[cmd for cmd, _ in README_TOUR])

@@ -92,6 +92,11 @@ class TestEnumeration:
         with pytest.raises(UsageError):
             sample_orientations(base_triangle(), 0, 2)
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_sampling_needs_a_member(self, k):
+        with pytest.raises(ValueError):
+            sample_orientations(lattice_ball(1), 0, k)
+
 
 class TestFamily:
     def test_rejects_empty(self):
