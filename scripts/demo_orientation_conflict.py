@@ -33,8 +33,7 @@ def main() -> int:
         os.makedirs(args.out, exist_ok=True)
         for name, o in (("member_S.svg", S), ("member_Z.svg", Z)):
             path = os.path.join(args.out, name)
-            write_text_atomic(path, pointset_to_svg(
-                ps, orientation=o, highlight=(ce.ui, ce.vi)))
+            write_text_atomic(path, pointset_to_svg(ps, orientation=o))
             print(f"wrote {path}")
 
     exit_code = 0

@@ -35,7 +35,6 @@ from .export import (
     pointset_to_json,
     pointset_to_svg,
     product_to_json,
-    save_json,
     write_text_atomic,
 )
 from .numeric import SQRT3, Point, QScalar, dist2, points_equal

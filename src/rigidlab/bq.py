@@ -57,7 +57,8 @@ from .numeric import (
     sqrt_diff_within,
     sqrt_exact,
 )
-from .plane import P0, P1, PointSet, adjacency, is_connected, unit_graph, unit_path
+from .plane import (P0, P1, PointSet, adjacency, is_connected, unit_graph,
+                    unit_hops, unit_path)
 
 DEFAULT_BRANCH_LIMIT = 500_000
 
@@ -507,7 +508,7 @@ def _locate(T: PointSet, p) -> int:
     return i
 
 
-def bq_certify(T: PointSet, x, y, epsilon, order: PlacementOrder = None,
+def bq_certify(T: PointSet, x, y, epsilon,
                branch_limit: int = DEFAULT_BRANCH_LIMIT) -> CertReport:
     """Certify that every unit-preserving map of T moves the x-y distance
     by at most epsilon.
@@ -524,7 +525,7 @@ def bq_certify(T: PointSet, x, y, epsilon, order: PlacementOrder = None,
     if eps is None:
         raise TypeError(f"epsilon must be a scalar, got {epsilon!r}")
     b2 = dist2(T[xi], T[yi])
-    result = enumerate_unit_maps(T, order=order, branch_limit=branch_limit)
+    result = enumerate_unit_maps(T, branch_limit=branch_limit)
     if result.truncated:
         raise BudgetExhausted(
             f"enumeration exceeded branch limit {branch_limit}",
@@ -619,42 +620,27 @@ class Gadget:
             raise ValueError(f"gadget {self.kind} has no point named {name!r}") from None
 
 
-def gadget_triangle_extension(p: Point = P0, q: Point = P1) -> Gadget:
+def gadget_triangle_extension() -> Gadget:
     """Unit edge plus its lexicographically smaller apex: 3 points, 3 edges."""
-    if not is_unit(p, q):
-        raise ValueError("triangle extension needs a unit attachment edge")
-    apex = circle_intersect(p, 1, q, 1)[0]
-    return Gadget("triangle-extension", PointSet([p, q, apex]), ("A", "B", "C"))
+    apex = circle_intersect(P0, 1, P1, 1)[0]
+    return Gadget("triangle-extension", PointSet([P0, P1, apex]), ("A", "B", "C"))
 
 
-def gadget_rhombus(p: Point = P0, q: Point = P1) -> Gadget:
-    """Two unit triangles glued along p-q: 4 points, 5 edges.
+def gadget_rhombus() -> Gadget:
+    """Two unit triangles glued along P0-P1: 4 points, 5 edges.
 
     Labels follow the long diagonal: A and D are the apexes at distance
     sqrt(3), B and C the shared edge.
     """
-    if not is_unit(p, q):
-        raise ValueError("rhombus needs a unit attachment edge")
-    hits = circle_intersect(p, 1, q, 1)
-    if len(hits) != 2:
-        raise ValueError("degenerate rhombus attachment")
-    a, d = hits
-    return Gadget("rhombus", PointSet([a, p, q, d]), ("A", "B", "C", "D"))
+    a, d = circle_intersect(P0, 1, P1, 1)
+    return Gadget("rhombus", PointSet([a, P0, P1, d]), ("A", "B", "C", "D"))
 
 
-def gadget_chain(n: int, start: Point = P0, toward: Point = None) -> Gadget:
-    """n+1 collinear points at unit spacing from `start` toward `toward`."""
+def gadget_chain(n: int) -> Gadget:
+    """n+1 collinear points at unit spacing from the origin along the x axis."""
     if n < 1:
         raise ValueError("chain needs n >= 1")
-    if toward is None:
-        toward = Point(start.x + 1, start.y)
-    d2 = dist2(start, toward)
-    if scalar_sign(d2) == 0:
-        raise ValueError("chain direction is undefined for coincident points")
-    d = sqrt_exact(d2)
-    ux = (toward.x - start.x) / d
-    uy = (toward.y - start.y) / d
-    pts = [Point(start.x + j * ux, start.y + j * uy) for j in range(n + 1)]
+    pts = [Point(j, 0) for j in range(n + 1)]
     labels = tuple(chr(ord("A") + j) for j in range(n + 1))
     return Gadget("chain", PointSet(pts), labels)
 
@@ -708,16 +694,17 @@ class GrowResult:
     strategy: str
 
 
-def _ladder(x: Point, y: Point, k: int) -> PointSet:
-    """Chain of k unit hops from x to y with both apexes bracing each hop."""
-    d = k
-    ux = (y.x - x.x) / d
-    uy = (y.y - x.y) / d
-    chain = [Point(x.x + j * ux, x.y + j * uy) for j in range(k + 1)]
-    pts = list(chain)
-    for j in range(1, k + 1):
-        pts.extend(circle_intersect(chain[j - 1], 1, chain[j], 1))
+def _braced(vs) -> PointSet:
+    """The vertices vs plus both common unit neighbors of each hop."""
+    pts = list(vs)
+    for u, v in zip(vs, vs[1:]):
+        pts.extend(circle_intersect(u, 1, v, 1))
     return PointSet(pts)
+
+
+def _rhombus(a: Point, d: Point) -> PointSet:
+    """a and d with both common unit neighbors between them."""
+    return PointSet([a, *circle_intersect(a, 1, d, 1), d])
 
 
 def _integer_distance(x: Point, y: Point):
@@ -731,6 +718,23 @@ def _integer_distance(x: Point, y: Point):
     return None
 
 
+def _strategies(x: Point, y: Point):
+    """(name, build) of each strategy that applies to x and y, in order.
+
+    Lazy: a later strategy's test runs only once the earlier ones failed.
+    """
+    d2 = dist2(x, y)
+    if d2 == 1:
+        yield "edge", lambda: PointSet([x, y])
+    if d2 == 3:
+        yield "rhombus", lambda: _rhombus(x, y)
+    k = _integer_distance(x, y)
+    if k is not None:
+        yield "ladder", lambda: _braced(unit_hops(x, y, k, k))
+    # last resort: brace every hop of a generic unit path
+    yield "braced-path", lambda: _braced(unit_path(x, y))
+
+
 def grow_witness(x: Point, y: Point, epsilon, budget: int = DEFAULT_BRANCH_LIMIT) -> GrowResult:
     """A point set containing x and y whose enumeration certifies the
     epsilon bound, grown from a small strategy library.
@@ -739,71 +743,29 @@ def grow_witness(x: Point, y: Point, epsilon, budget: int = DEFAULT_BRANCH_LIMIT
     a sqrt(3) pair (deviation sqrt(3)), the braced ladder on integer
     distances (deviation 1 for distance 2, growing with length), and a
     braced unit path as a last resort.  If nothing certifies, raises
-    BudgetExhausted carrying the best (set, report) pair seen; the best
-    achieved deviation is genuinely the frontier of this library, not a
-    search artifact.  If no strategy yields a report at all, re-raises the
-    refusal of the last one tried (NotAnchored, say).
+    BudgetExhausted carrying the best (set, report) pair seen: the first
+    of the least achieved deviation, genuinely the frontier of this
+    library, not a search artifact.  If no strategy yields a report at
+    all, re-raises the refusal of the last one tried (NotAnchored, say).
     """
     if points_equal(x, y):
         raise ValueError("witness growth requires x != y")
-    d2 = dist2(x, y)
     best = None
     refusal = None
-
-    def attempt(builder, name):
-        nonlocal best, refusal
+    for name, build in _strategies(x, y):
         try:
-            T = builder()
+            T = build()
             report = bq_certify(T, x, y, epsilon, branch_limit=budget)
         except (NotAnchored, NotRepresentable, ValueError, BudgetExhausted) as exc:
             refusal = exc
-            return None
-        if best is None or compare_or_none(report, best[1]) < 0:
-            best = (T, report, name)
+            continue
         if report.certified:
             return GrowResult(T, report, name)
-        return None
-
-    def compare_or_none(new_report, old_report) -> int:
-        # orders reports by achieved deviation, smaller first
-        new_d = float(new_report.max_deviation)
-        old_d = float(old_report.max_deviation)
-        return (new_d > old_d) - (new_d < old_d)
-
-    if d2 == 1:
-        got = attempt(lambda: PointSet([x, y]), "edge")
-        if got:
-            return got
-    if d2 == 3:
-        def rhombus_builder():
-            hits = circle_intersect(x, 1, y, 1)
-            if len(hits) != 2:
-                raise ValueError("degenerate rhombus")
-            return PointSet([x, hits[0], hits[1], y])
-
-        got = attempt(rhombus_builder, "rhombus")
-        if got:
-            return got
-    k = _integer_distance(x, y)
-    if k is not None:
-        got = attempt(lambda: _ladder(x, y, k), "ladder")
-        if got:
-            return got
-    # last resort: brace every hop of a generic unit path
-    def braced_path_builder():
-        vs = unit_path(x, y)
-        pts = list(vs)
-        for j in range(1, len(vs)):
-            pts.extend(circle_intersect(vs[j - 1], 1, vs[j], 1))
-        return PointSet(pts)
-
-    got = attempt(braced_path_builder, "braced-path")
-    if got:
-        return got
+        if best is None or float(report.max_deviation) < float(best.report.max_deviation):
+            best = GrowResult(T, report, name)
     if best is None:
         raise refusal
-    achieved = best[1].max_deviation
     raise BudgetExhausted(
-        f"no strategy certified epsilon {epsilon}; best deviation {achieved}",
-        partial=GrowResult(best[0], best[1], best[2]),
+        f"no strategy certified epsilon {epsilon}; best deviation {best.report.max_deviation}",
+        partial=best,
     )

@@ -73,6 +73,9 @@ _WITNESS_MODAL = {name for own in _WITNESS_FLAGS.values() for name in own}
 # orient reads --seed and --count only when sampling
 _SAMPLE_FLAGS = {"seed": 0, "count": 1}
 
+# certify reads --chain-n only for the chain gadget
+_CHAIN_FLAGS = {"chain_n": 3}
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse wants to sys.exit(2) on bad flags; route that into the
@@ -133,7 +136,8 @@ def _build_parser() -> _Parser:
     p = add_parser("certify", help="distance-preservation certificate")
     p.add_argument("--gadget", default=None,
                    help="triangle-extension | rhombus | chain | moser-spindle")
-    p.add_argument("--chain-n", type=int, default=3)
+    p.add_argument("--chain-n", type=int, default=argparse.SUPPRESS,
+                   help="chain length (--gadget chain)")
     p.add_argument("--input", default=None, help="point-set JSON file")
     p.add_argument("--x", required=True, help="gadget label or point 'x,y'")
     p.add_argument("--y", required=True, help="gadget label or point 'x,y'")
@@ -187,11 +191,11 @@ def _own_flags(args, modal, own: dict, context: str) -> None:
 
 
 def _load_pointset_arg(args) -> PointSet:
-    if getattr(args, "input", None):
+    if (args.input is None) == (args.radius is None):
+        raise UsageError(f"{args.command} needs one of --input and --radius")
+    if args.input is not None:
         return pointset_from_json(load_json(args.input))
-    if getattr(args, "radius", None) is not None:
-        return lattice_ball(args.radius, include_triangle=True)
-    raise UsageError("need --input or --radius")
+    return lattice_ball(args.radius, include_triangle=True)
 
 
 def _cmd_lattice(args) -> int:
@@ -337,11 +341,13 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    if (args.gadget is None) == (args.input is None):
+        raise UsageError("certify needs one of --gadget and --input")
+    chain = args.gadget == "chain"
+    _own_flags(args, _CHAIN_FLAGS, _CHAIN_FLAGS if chain else {},
+               f"certify --gadget {args.gadget}" if args.gadget else "certify --input")
     if args.gadget:
-        kwargs = {}
-        if args.gadget == "chain":
-            kwargs["n"] = args.chain_n
-        g = gadget(args.gadget, **kwargs)
+        g = gadget(args.gadget, **({"n": args.chain_n} if chain else {}))
         ps = g.points
 
         def locate(text):
@@ -351,8 +357,6 @@ def _cmd_certify(args) -> int:
 
         x, y = locate(args.x), locate(args.y)
     else:
-        if not args.input:
-            raise UsageError("certify needs --gadget or --input")
         ps = pointset_from_json(load_json(args.input))
         x = _parse_point(args.x)
         y = _parse_point(args.y)

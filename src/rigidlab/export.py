@@ -27,18 +27,12 @@ SCHEMA_PRODUCT = "rigidlab.product/1"
 SCHEMA_REPORT = "rigidlab.report/1"
 
 
-def _frac_str(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
-
-
 def scalar_to_json(s):
     if isinstance(s, QScalar):
-        doc = {"a": _frac_str(s.a), "b": _frac_str(s.b)}
+        doc = {"a": str(s.a), "b": str(s.b)}
         if s.ext:
             # terms beyond Q(sqrt(3)) as [radicand, coefficient] pairs
-            doc["ext"] = [[d, _frac_str(c)] for d, c in s.ext]
+            doc["ext"] = [[d, str(c)] for d, c in s.ext]
         return doc
     raise TypeError(f"not a serializable scalar: {s!r}")
 
@@ -52,11 +46,21 @@ def scalar_from_json(obj):
     if not isinstance(obj, dict) or "a" not in obj or "b" not in obj:
         raise UsageError(f"a scalar is exact: an object with keys 'a' and 'b', got {obj!r}")
     ext = []
-    for d, c in obj.get("ext", ()):
+    for d, c in _pairs(obj.get("ext", []), "a scalar's 'ext'"):
         if type(d) is not int or not 1 <= d <= MAX_RADICAND:
             raise UsageError(f"ext radicand must be an integer in 1..{MAX_RADICAND}, got {d!r}")
-        ext.append((d, Fraction(c)))
-    return QScalar(Fraction(obj["a"]), Fraction(obj["b"]), ext)
+        ext.append((d, _rational(c, "ext")))
+    return QScalar(_rational(obj["a"], "a"), _rational(obj["b"], "b"), ext)
+
+
+def _rational(value, key: str) -> Fraction:
+    """A scalar coefficient: an integer or a string such as '-3/4'."""
+    if type(value) in (int, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise UsageError(f"a scalar's {key!r} must be a rational number, got {value!r}")
 
 
 def pointset_to_json(ps: PointSet) -> dict:
@@ -69,10 +73,8 @@ def pointset_to_json(ps: PointSet) -> dict:
 
 def pointset_from_json(obj) -> PointSet:
     _expect_schema(obj, SCHEMA_POINTSET)
-    points = [
-        Point(scalar_from_json(x), scalar_from_json(y)) for x, y in _field(obj, "points")
-    ]
-    return PointSet(points)
+    points = _pairs(_field(obj, "points"), f"{obj['schema']} key 'points'")
+    return PointSet([Point(scalar_from_json(x), scalar_from_json(y)) for x, y in points])
 
 
 def relstruct_to_json(s: RelStruct) -> dict:
@@ -87,11 +89,13 @@ def relstruct_from_json(obj) -> RelStruct:
     """A relstruct document; its optional `labels`, one name per element,
     are checked and then dropped, since no search reads a name."""
     _expect_schema(obj, SCHEMA_RELSTRUCT)
-    n = int(_field(obj, "n"))
+    n = _field(obj, "n")
+    if type(n) is not int or n < 0:
+        raise UsageError(f"{obj['schema']} key 'n' must be a count, got {n!r}")
     labels = obj.get("labels")
     if labels is not None and (not isinstance(labels, list) or len(labels) != n):
         raise UsageError(f"labels must list one name per element, n={n}")
-    return RelStruct(n, tuple((int(a), int(b)) for a, b in _field(obj, "pairs")))
+    return RelStruct(n, _index_pairs(obj))
 
 
 def orientation_to_json(o: Orientation) -> dict:
@@ -105,7 +109,7 @@ def orientation_to_json(o: Orientation) -> dict:
 def orientation_from_json(obj) -> Orientation:
     _expect_schema(obj, SCHEMA_ORIENTATION)
     base = pointset_from_json(_field(obj, "base"))
-    return Orientation(base, tuple((int(a), int(b)) for a, b in _field(obj, "pairs")))
+    return Orientation(base, _index_pairs(obj))
 
 
 def product_to_json(P: ProductStruct) -> dict:
@@ -138,6 +142,21 @@ def _field(obj: dict, key: str):
     return obj[key]
 
 
+def _pairs(value, what: str) -> list:
+    if not (isinstance(value, list)
+            and all(isinstance(p, list) and len(p) == 2 for p in value)):
+        raise UsageError(f"{what} must be a list of pairs, got {value!r}")
+    return value
+
+
+def _index_pairs(obj: dict) -> tuple:
+    """The document's 'pairs': [i, j] lists of integers."""
+    pairs = _pairs(_field(obj, "pairs"), f"{obj['schema']} key 'pairs'")
+    if not all(type(i) is int for p in pairs for i in p):
+        raise UsageError(f"{obj['schema']} key 'pairs' must hold integers, got {pairs!r}")
+    return tuple(map(tuple, pairs))
+
+
 def dumps_canonical(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -163,8 +182,15 @@ def save_json(doc, path: str) -> None:
 
 
 def load_json(path: str):
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON document in a file; an unreadable file or malformed JSON
+    is a UsageError that names the file."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise UsageError(f"{path} holds no JSON document: {exc}") from None
 
 
 def _point_label(p) -> str:
@@ -232,10 +258,8 @@ def _svg_viewport(float_pts):
     return to_screen, (hi_x - lo_x) * scale, (hi_y - lo_y) * scale
 
 
-def pointset_to_svg(ps: PointSet, orientation: Orientation = None,
-                    highlight=()) -> str:
-    """Deterministic SVG: unit edges, optional orientation arrows and
-    optional highlighted vertices."""
+def pointset_to_svg(ps: PointSet, orientation: Orientation = None) -> str:
+    """Deterministic SVG: unit edges and optional orientation arrows."""
     if len(ps) == 0:
         raise UsageError("cannot draw an empty point set")
     float_pts = [p.to_float_pair() for p in ps]
@@ -275,13 +299,6 @@ def pointset_to_svg(ps: PointSet, orientation: Orientation = None,
             elif back:
                 line(j, i, 'stroke="#444444" stroke-width="1.5"'
                            ' marker-end="url(#arrow)"')
-
-    for idx in sorted(set(highlight)):
-        x, y = pos[idx]
-        out.append(
-            f'<circle cx="{fmt(x)}" cy="{fmt(y)}" r="10" fill="none"'
-            ' stroke="#e09f3e" stroke-width="2.5"/>'
-        )
 
     for idx, (x, y) in enumerate(pos):
         out.append(

@@ -62,11 +62,6 @@ class Orientation:
         """Unit edges not forced by the triangle, as sorted (i, j), i < j."""
         return _free_edges(self.base)
 
-    def __eq__(self, other):
-        if not isinstance(other, Orientation):
-            return NotImplemented
-        return self.base == other.base and self.pairs == other.pairs
-
     def __hash__(self):
         return hash(self.pairs)
 

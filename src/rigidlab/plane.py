@@ -261,6 +261,14 @@ def _apex_between(u: Point, v: Point) -> Point:
     return hits[0]
 
 
+def unit_hops(frm: Point, to: Point, d, k: int) -> list:
+    """`frm` and the k points after it at unit steps toward `to`, where
+    d = |to - frm|."""
+    ux = (to.x - frm.x) / d
+    uy = (to.y - frm.y) / d
+    return [Point(frm.x + j * ux, frm.y + j * uy) for j in range(k + 1)]
+
+
 def unit_path(frm: Point, to: Point) -> tuple:
     """The vertices of a unit path from `frm` to `to`.
 
@@ -286,12 +294,5 @@ def unit_path(frm: Point, to: Point) -> tuple:
     # straight chain: k unit hops toward the target, then one apex pair;
     # the remainder d - k lands in (1, 2], so the final apex always exists
     d = sqrt_exact(d2)  # NotRepresentable propagates by design
-    k = math.ceil(d) - 2
-    ux = (to.x - frm.x) / d
-    uy = (to.y - frm.y) / d
-    chain = [frm]
-    for j in range(1, k + 1):
-        chain.append(Point(frm.x + j * ux, frm.y + j * uy))
-    chain.append(_apex_between(chain[-1], to))
-    chain.append(to)
-    return tuple(chain)
+    chain = unit_hops(frm, to, d, math.ceil(d) - 2)
+    return (*chain, _apex_between(chain[-1], to), to)

@@ -1,6 +1,7 @@
 """Placement enumeration and distance-preservation certificates."""
 
 import cmath
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 from rigidlab import bq
 from rigidlab.bq import (
     DEFAULT_BRANCH_LIMIT,
+    _braced,
     _distinct,
     _glue_candidates,
-    _ladder,
     bq_certify,
     canonical_map_key,
     enumerate_unit_maps,
@@ -28,6 +29,7 @@ from rigidlab.errors import (
     NotAnchored,
     NotRepresentable,
 )
+from rigidlab.export import dumps_canonical, pointset_to_json
 from rigidlab.numeric import (
     SQRT3,
     Point,
@@ -49,6 +51,7 @@ from rigidlab.plane import (
     lattice_ball,
     lattice_point,
     unit_graph,
+    unit_hops,
     unit_path,
 )
 
@@ -201,13 +204,15 @@ def reference_unit_maps(T, order=None, branch_limit=DEFAULT_BRANCH_LIMIT, field=
     return maps, count["nodes"], count["pruned"], truncated
 
 
-def _braced_path(y):
-    """A unit path from P0 to y with both apexes bracing each hop."""
-    vs = unit_path(P0, y)
-    pts = list(vs)
-    for j in range(1, len(vs)):
-        pts.extend(circle_intersect(vs[j - 1], 1, vs[j], 1))
-    return PointSet(pts)
+def _figure_digest(ps, *rest) -> str:
+    """sha256 of a point set's canonical JSON and further plain values."""
+    doc = dumps_canonical(pointset_to_json(ps))
+    return hashlib.sha256(repr((doc, *rest)).encode()).hexdigest()
+
+
+def _ladder(y, k):
+    """k unit hops from P0 to y, each braced by both apexes."""
+    return _braced(unit_hops(P0, y, k, k))
 
 
 def _assert_matches_reference(ps, branch_limit=DEFAULT_BRANCH_LIMIT):
@@ -221,9 +226,9 @@ def _assert_matches_reference(ps, branch_limit=DEFAULT_BRANCH_LIMIT):
 
 
 ORACLE_FIGURES = {
-    **{f"ladder{k}{d}": (lambda k=k, d=d: _ladder(P0, lattice_point(k * d[0], k * d[1]), k))
+    **{f"ladder{k}{d}": (lambda k=k, d=d: _ladder(lattice_point(k * d[0], k * d[1]), k))
        for k in (2, 3, 4, 5) for d in UNIT_DIRS},
-    **{f"braced{y}": (lambda y=y: _braced_path(lattice_point(*y)))
+    **{f"braced{y}": (lambda y=y: _braced(unit_path(P0, lattice_point(*y))))
        for y in ((2, 1), (1, 2), (3, 1), (-2, 3), (2, 2))},
     "rhombus": lambda: gadget("rhombus").points,
     "ball1": lambda: lattice_ball(1),
@@ -252,7 +257,7 @@ class TestReferenceEnumerator:
         (2, (31, 5, 11)), (3, (185, 32, 61)), (4, (1039, 181, 339)), (5, (5785, 1008, 1885)),
     ])
     def test_ladder_counts_pinned(self, k, counts):
-        res = enumerate_unit_maps(_ladder(P0, lattice_point(k, 0), k))
+        res = enumerate_unit_maps(_ladder(lattice_point(k, 0), k))
         assert (res.nodes, res.pruned, len(res.maps)) == counts
 
     @pytest.mark.parametrize("y,k,calls", [((4, 0), 4, (6, 23)), ((0, -5), 5, (6, 48))])
@@ -270,7 +275,7 @@ class TestReferenceEnumerator:
 
         monkeypatch.setattr(bq, "circle_intersect", counted(circle_intersect))
         monkeypatch.setattr(bq, "is_unit", counted(is_unit))
-        T = _ladder(P0, lattice_point(*y), k)
+        T = _ladder(lattice_point(*y), k)
         for _ in range(2):
             count.clear()
             enumerate_unit_maps(T)
@@ -337,7 +342,7 @@ class TestCertify:
     def test_strip_deviation_exactly_one(self):
         """The braced two-hop strip folds to deviation exactly 1, never more."""
         x, y = P0, lattice_point(2, 0)
-        strip = _ladder(x, y, 2)
+        strip = _ladder(y, 2)
         assert len(strip) == 7 and len(unit_graph(strip)) == 12
         rep = bq_certify(strip, x, y, QScalar(1))
         assert rep.certified and rep.max_deviation == QScalar(1)
@@ -386,6 +391,20 @@ class TestCertify:
 
 
 class TestGadgets:
+    # digests of each figure's points and labels
+    @pytest.mark.parametrize("kind,kwargs,sha256", [
+        ("triangle-extension", {},
+         "3e1ef0d9e533f38bd2d5f680bc9d3af8b4bc9da7e3bff756cfc1e59916addda4"),
+        ("rhombus", {}, "c9954434bc2be7266a714f11400545d531dbc9b860a779c68c8a287f711e55cd"),
+        ("chain", {"n": 1}, "d2d5650b8832ce4f7ef9d5e565b55beae908dcec01e311809cd9ea32049e6608"),
+        ("chain", {"n": 3}, "c7bf974717797335f2153019fa05cd80d175d67548c67750abfecf04ac7f4ebb"),
+        ("moser-spindle", {},
+         "ac8a7fb32a97c9deb71717534ae7158d7111ba7689711e09f62e9fa28ac9bdab"),
+    ])
+    def test_figure_pinned(self, kind, kwargs, sha256):
+        g = gadget(kind, **kwargs)
+        assert _figure_digest(g.points, g.labels) == sha256
+
     def test_labels(self):
         g = gadget("rhombus")
         assert g.labels == ("A", "B", "C", "D")
@@ -480,6 +499,27 @@ class TestGrowWitness:
         g = grow_witness(P0, lattice_point(2, 0), QScalar(1))
         assert g.strategy == "ladder"
         assert g.report.max_deviation == QScalar(1)
+
+    # one grown set per strategy, with its report
+    @pytest.mark.parametrize("y,eps,strategy,size,deviation,maps,sha256", [
+        (P1, 0, "edge", 2, "0", 1,
+         "e13cb188f92b59e78590753c8a4f0e3c561282351225b779f9bb181e7d94c5df"),
+        (lattice_point(1, 1), 2, "rhombus", 4, "r3", 2,
+         "b53d82dbf68263b9939f5ca02006e0ee6eaf0d5d19331c13796d3c0ed3d390e3"),
+        (lattice_point(2, 0), 1, "ladder", 7, "1", 11,
+         "ba8fa4e3a2f1bde8ff137f5e095dd8607986cd829950daf7ceed0b0044afaaf6"),
+        (lattice_point(2, 1), 4, "braced-path", 9, "-1+r7", 44,
+         "9fcb852610faff1e2aff69f97741af3fc595990aab4a0276eb244d4fe5c04b9f"),
+    ])
+    def test_grown_set_pinned(self, y, eps, strategy, size, deviation, maps, sha256):
+        g = grow_witness(P0, y, QScalar(eps))
+        rep = g.report
+        assert ((g.strategy, len(g.points), str(rep.max_deviation), rep.map_count)
+                == (strategy, size, deviation, maps))
+        fields = (rep.certified, str(rep.epsilon), str(rep.max_deviation), rep.map_count,
+                  rep.branch_count, rep.pruned_contradictions,
+                  None if rep.counterexample is None else tuple(map(str, rep.counterexample)))
+        assert _figure_digest(g.points, g.strategy, fields) == sha256
 
     def test_honest_refusal(self):
         with pytest.raises(BudgetExhausted) as exc_info:

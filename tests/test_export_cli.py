@@ -89,6 +89,27 @@ class TestJsonRoundtrip:
         with pytest.raises(UsageError, match="'b'"):
             scalar_from_json({"a": "1"})
 
+    def test_wrong_type_named(self):
+        rel = {"schema": "rigidlab.relstruct/1", "n": 3, "pairs": []}
+        for key, value in (("n", None), ("n", 2.5), ("n", "3"), ("n", -1), ("pairs", 5),
+                           ("pairs", [[0, 1.9]]), ("pairs", [[0, 1, 2]])):
+            with pytest.raises(UsageError, match=repr(key)):
+                relstruct_from_json({**rel, key: value})
+        with pytest.raises(UsageError, match="'points'"):
+            pointset_from_json({"schema": "rigidlab.pointset/1", "points": [[0]]})
+        for key, value in (("a", None), ("a", "1/0"), ("a", 0.5), ("b", "x"), ("ext", 5),
+                           ("ext", [[11, None]])):
+            with pytest.raises(UsageError, match=repr(key)):
+                scalar_from_json({"a": "0", "b": "0", key: value})
+
+    def test_unreadable_file_named(self, tmp_path):
+        path = str(tmp_path / "absent.json")
+        with pytest.raises(UsageError, match="absent.json"):
+            load_json(path)
+        write_text_atomic(path, "{")
+        with pytest.raises(UsageError, match="absent.json"):
+            load_json(path)
+
     def test_orientation(self):
         ps = lattice_ball(1)
         o = orientation_from_bits(ps, 137)
@@ -171,10 +192,6 @@ class TestSvg:
         svg = pointset_to_svg(ps, orientation_from_bits(ps, 0))
         assert "marker-end" in svg
 
-    def test_highlight(self):
-        svg = pointset_to_svg(lattice_ball(1), highlight=(0, 4))
-        assert svg.count('stroke="#e09f3e"') == 2
-
 
 def _readme_tour():
     """(command, expected exit) for each line of README's CLI tour block;
@@ -212,6 +229,17 @@ MALFORMED = {
     "no_b.json": {"schema": "rigidlab.pointset/1",
                   "points": [[{"a": "0"}, {"a": "0", "b": "0"}]]},
     "no_points.json": {"schema": "rigidlab.pointset/1", "backend": "exact"},
+    "null_n.json": {"schema": "rigidlab.relstruct/1", "n": None, "pairs": []},
+    "float_n.json": {"schema": "rigidlab.relstruct/1", "n": 2.5, "pairs": [[0, 1.9]]},
+    "scalar_pairs.json": {"schema": "rigidlab.relstruct/1", "n": 3, "pairs": 5},
+    "null_pair.json": {"schema": "rigidlab.relstruct/1", "n": 3, "pairs": [[0, None]]},
+    "scalar_points.json": {"schema": "rigidlab.pointset/1", "points": 5},
+    "null_a.json": {"schema": "rigidlab.pointset/1",
+                    "points": [[{"a": None, "b": "0"}, {"a": "0", "b": "0"}]]},
+    "zero_den.json": {"schema": "rigidlab.pointset/1",
+                      "points": [[{"a": "1/0", "b": "0"}, {"a": "0", "b": "0"}]]},
+    "scalar_ext.json": {"schema": "rigidlab.pointset/1",
+                        "points": [[{"a": "0", "b": "0", "ext": 5}, {"a": "0", "b": "0"}]]},
 }
 UNDECLARED = [
     f"{argv} --{name.replace('_', '-')} {value}"
@@ -275,17 +303,35 @@ class TestCli:
         "certify --input no_b.json --x 0,0 --y 1,0 --epsilon 0",
         "orient --input no_points.json",
         "certify --input no_points.json --x 0,0 --y 1,0 --epsilon 0",
+        "hom --src null_n.json --dst c3.json",
+        "hom --src float_n.json --dst c3.json",
+        "hom --src scalar_pairs.json --dst c3.json",
+        "hom --src null_pair.json --dst c3.json",
+        "orient --input scalar_points.json",
+        "orient --input null_a.json",
+        "orient --input zero_den.json",
+        "orient --input scalar_ext.json",
+        "rigid --input /nonexistent.json",
+        "rigid --input c3.json/",
+        # a flag is accepted only where it is read
+        "certify --gadget rhombus --chain-n 9 --x A --y D --epsilon r3",
+        "certify --input ball1.json --chain-n 2 --x 0,0 --y 1,0 --epsilon 0",
+        "certify --gadget rhombus --input /nonexistent.json --x A --y D --epsilon r3",
+        "certify --gadget rhombus --input ball1.json --x A --y D --epsilon r3",
+        "orient --radius 5 --input ball1.json --mode count",
+        "product --radius 1 --input ball1.json --member-bits 0",
     ])
     def test_refused_before_any_output(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         save_json(relstruct_to_json(RelStruct(3, ((0, 1), (1, 2), (2, 0)))), "c3.json")
+        save_json(pointset_to_json(lattice_ball(1)), "ball1.json")
         for name, doc in MALFORMED.items():
             save_json(doc, name)
         assert self.run(*argv.split()) == 4
         captured = capsys.readouterr()
         assert captured.err.startswith("usage error: ")
         assert captured.out == ""
-        assert sorted(os.listdir(tmp_path)) == sorted(["c3.json", *MALFORMED])
+        assert sorted(os.listdir(tmp_path)) == sorted(["c3.json", "ball1.json", *MALFORMED])
 
     @pytest.mark.parametrize("argv,sha256", [
         ("product --radius 1 --member-bits 0 --member-bits 5 --format dot",
@@ -295,6 +341,19 @@ class TestCli:
     ])
     def test_dot_bytes_pinned(self, argv, sha256, capsys):
         assert self.run(*argv.split()) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+    # the README tour's certificates, byte for byte
+    @pytest.mark.parametrize("argv,code,sha256", [
+        ("certify --gadget rhombus --x A --y D --epsilon r3", 0,
+         "5495b31837d18ebe1f3948b93a83403ca3be66ed8b4325a3a6e00d8231453d51"),
+        ("certify --gadget rhombus --x A --y D --epsilon 1", 2,
+         "48373f296a99d8e72c7507f31e92274f7bcab133c0a81093a2d9f42e48940fb1"),
+        ("certify --gadget moser-spindle --x A --y D --epsilon 0", 0,
+         "e708d62aae7750270be9a2d26a30e265a188ae0205774da6a850ae4b5547b5b6"),
+    ])
+    def test_certify_bytes_pinned(self, argv, code, sha256, capsys):
+        assert self.run(*argv.split()) == code
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
     @pytest.mark.parametrize("cmd,code", README_TOUR,
