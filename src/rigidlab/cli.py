@@ -73,8 +73,9 @@ _WITNESS_MODAL = {name for own in _WITNESS_FLAGS.values() for name in own}
 # orient reads --seed and --count only when sampling
 _SAMPLE_FLAGS = {"seed": 0, "count": 1}
 
-# certify reads --chain-n only for the chain gadget
-_CHAIN_FLAGS = {"chain_n": 3}
+# certify reads --chain-n only for the chain gadget; a chain of two or
+# more hops folds, so only the default of one hop certifies
+_CHAIN_FLAGS = {"chain_n": 1}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,7 +138,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--gadget", default=None,
                    help="triangle-extension | rhombus | chain | moser-spindle")
     p.add_argument("--chain-n", type=int, default=argparse.SUPPRESS,
-                   help="chain length (--gadget chain)")
+                   help="chain length in unit hops, default 1 (--gadget chain); "
+                        "longer chains fold and exit 4")
     p.add_argument("--input", default=None, help="point-set JSON file")
     p.add_argument("--x", required=True, help="gadget label or point 'x,y'")
     p.add_argument("--y", required=True, help="gadget label or point 'x,y'")

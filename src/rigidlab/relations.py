@@ -33,10 +33,12 @@ maps, nodes and truncated flag.  A wipeout in one order means L has an
 empty domain, and then every order either wipes out or leaves that
 domain empty, which skips the search: no maps, not truncated, 0 nodes.
 
-find_min_witness scans candidate witnesses smallest-first and decides a
-candidate without a search when a rule proves it fails: the component
-rule for a disconnected candidate, and the extension rule when a
-counterexample kept for the candidate minus one element extends to it.
+find_min_witness scans candidate witnesses smallest-first but meets
+only the connected ones: it walks each size's prefixes in order and
+draws the last element from those that join every component of the
+prefix plus x.  A disconnected candidate is never built, yet counts one
+check at its place in the order.  A met candidate is decided without a
+search when a counterexample kept for it minus one element extends to it.
 """
 
 from __future__ import annotations
@@ -329,18 +331,27 @@ def find_min_witness(s: RelStruct, x: int, y: int, budget: int = 4096) -> MinWit
     NoWitnessExists is raised when even the full universe fails, i.e. some
     endomorphism already sends x to y.  A budget below 1 raises ValueError.
 
-    A check is either a hom search of the candidate or a decision by the
-    component rule or the extension rule, and all count alike against the
-    budget.  The component rule:
-    let W's induced pairs, taken as undirected edges without loops, split
-    W into components, and let C be the one holding x.  Every pair of W
-    lies inside one component, so a map of C with x -> y extended by the
-    identity elsewhere preserves W's pairs, and a map of W restricts to
-    one of C: W is a witness exactly when C is.  When W is disconnected,
-    C is a smaller connected candidate containing x, so the smallest-first
-    scan has already searched it, and the scan only goes on past a failed
-    search.  A disconnected candidate is therefore no witness, and it is
-    decided without a search.
+    A check is a hom search of a candidate, or a decision without one,
+    and all count alike against the budget.  The candidates of size k are
+    x plus each of combinations(others, k), in that order; the scan walks
+    the prefixes P in combinations(others, k - 1) and, for each, the tail
+    of elements above P's last one (all of `others` for an empty P), so
+    (P, c) is check number checks + (tail elements below c) + 1, and a
+    prefix adds the tail's size to checks.  A candidate is met only while
+    the checks before it stay below the budget; once they reach it,
+    checks == budget.
+
+    Only connected candidates are met.  Let W's induced pairs, taken as
+    undirected edges without loops, split W into components, and let C be
+    the one holding x.  Every pair of W lies inside one component, so a
+    map of C with x -> y extended by the identity elsewhere preserves W's
+    pairs, and a map of W restricts to one of C: W is a witness exactly
+    when C is.  When W is disconnected, C is a smaller connected candidate
+    containing x, so the smallest-first scan has already searched it, and
+    the scan only goes on past a failed search.  A disconnected candidate
+    is therefore no witness.  W = P + x + c is connected exactly when c
+    has a neighbour in every component of P + x, so the scan draws c from
+    the tail elements that do, ascending, and skips the rest unbuilt.
 
     The extension rule reuses the counterexample h, a map of W - {v} with
     x -> y preserving its pairs, kept for each failed connected candidate
@@ -353,7 +364,7 @@ def find_min_witness(s: RelStruct, x: int, y: int, budget: int = 4096) -> MinWit
     extended map is kept for the next size.  Only a failing candidate can
     be decided this way, so every valid candidate is still searched, and
     the scan's verdicts, order and check count are those of searching
-    every connected candidate.
+    every candidate.
     """
     if x == y:
         raise ValueError("witness search requires x != y")
@@ -369,34 +380,68 @@ def find_min_witness(s: RelStruct, x: int, y: int, budget: int = 4096) -> MinWit
     if not checked(tuple(range(s.n))).valid:
         raise NoWitnessExists(f"an endomorphism maps {x} to {y}")
 
+    # counterexamples of the failed connected candidates, by bitmask:
+    # those one element smaller, and those of the size being scanned
+    previous, current = {}, {}
+
+    def met(rest, mask) -> bool:
+        """Decide the connected candidate x + rest as check number checks + 1,
+        keeping its counterexample when it fails; True when it is a witness."""
+        nonlocal checks
+        h = _extend_counterexample(s, previous, rest, mask)
+        if h is not None:
+            checks += 1  # decided by the extension rule: no witness
+        else:
+            result = checked((x,) + rest)
+            if result.valid:
+                return True
+            h = result.counterexample
+        current[mask] = h
+        return False
+
+    if checks < budget and met((), 1 << x):
+        return MinWitnessResult(WitnessSet((x,), x, y), True, checks)
     neighbours = _neighbours(s)
     others = [i for i in range(s.n) if i != x]
+    above = ((1 << s.n) - 1) ^ 1 << x  # the tail of the empty prefix
     # the last candidate is the full universe, so the scan returns unless
-    # the budget runs out; once it has, every later candidate breaks at once
-    current = {}
-    for size in range(s.n):
-        # counterexamples of the failed connected candidates, by bitmask:
-        # those one element smaller, and those of this size
+    # the budget runs out; once it has, checks == budget and every later
+    # prefix breaks at once
+    for size in range(1, s.n):
         previous, current = current, {}
-        for rest in combinations(others, size):
+        for prefix in combinations(others, size - 1):
             if checks >= budget:
                 break
-            subset = (x,) + rest
-            mask = 0
-            for v in subset:
-                mask |= 1 << v
-            if _component(neighbours, x, mask) != mask:
-                checks += 1  # decided by the component rule: no witness
+            tail = above >> prefix[-1] + 1 << prefix[-1] + 1 if prefix else above
+            if not tail:
                 continue
-            h = _extend_counterexample(s, previous, rest, mask)
-            if h is not None:
-                checks += 1  # decided by the extension rule: no witness
-            else:
-                result = checked(subset)
-                if result.valid:
+            mask = 1 << x
+            for v in prefix:
+                mask |= 1 << v
+            # c joins x + prefix + c into one piece iff it touches every
+            # component of x + prefix
+            joins, left = tail, mask
+            while joins and left:
+                component = _component(neighbours, (left & -left).bit_length() - 1, mask)
+                left ^= component
+                touched = 0
+                while component:
+                    low = component & -component
+                    component ^= low
+                    touched |= neighbours[low.bit_length() - 1]
+                joins &= touched
+            # candidate (prefix, c) is check number base + (tail below c) + 1
+            base = checks
+            while joins:
+                low = joins & -joins
+                joins ^= low
+                checks = base + (tail & low - 1).bit_count()
+                if checks >= budget:
+                    break
+                if met(prefix + (low.bit_length() - 1,), mask | low):
+                    subset = (x,) + prefix + (low.bit_length() - 1,)
                     return MinWitnessResult(WitnessSet(subset, x, y), True, checks)
-                h = result.counterexample
-            current[mask] = h
+            checks = min(base + tail.bit_count(), budget)
 
     # validity is monotone under growing the subset, so dropping each
     # element whose removal keeps the subset valid ends inclusion-minimal

@@ -356,6 +356,33 @@ class TestCli:
         assert self.run(*argv.split()) == code
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
+    def test_certify_chain_defaults_to_one_hop(self, capsys):
+        # a chain of two or more hops folds; the default is the one that pins
+        argv = "certify --gadget chain --x A --y B --epsilon 0".split()
+        assert self.run(*argv) == 0
+        bare = capsys.readouterr().out
+        assert self.run(*argv, "--chain-n", "1") == 0
+        assert capsys.readouterr().out == bare
+        assert self.run(*argv, "--chain-n", "2") == 4
+
+    # minimize pool inputs at x = p0: one whose scan outruns the default
+    # budget and falls back to the deletion filter, and one origin input
+    # with a minimal witness of size 4
+    @pytest.mark.parametrize("bits,sha256", [
+        ((121525150946, 187724881616),
+         "e51c957bffa9ea2d9abfd30f31f84d2154fefc9ef3e65e783a14631afdad361c"),
+        ((138253369779, 18153949995),
+         "6a181877192e46db9ea3052c5b65fbfca43963f879beb1a409ea2d73a9520f86"),
+    ])
+    def test_min_witness_bytes_pinned(self, bits, sha256, tmp_path, capsys):
+        ps = lattice_ball(2)
+        P = build_product(ps, [orientation_from_bits(ps, b) for b in bits])
+        path = str(tmp_path / "rel.json")
+        save_json(relstruct_to_json(P.structure), path)
+        assert self.run("witness", "--kind", "min", "--input", path,
+                        "--x", str(P.element(0, 0)), "--y", str(P.element(0, 1))) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
     @pytest.mark.parametrize("cmd,code", README_TOUR,
                              ids=[cmd for cmd, _ in README_TOUR])
     def test_readme_tour(self, cmd, code, tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 """Finite relational structures: hom search, rigidity, witness sets."""
 
+import hashlib
+import json
 import random
 from itertools import combinations
 
@@ -448,9 +450,9 @@ class TestWitness:
 
 
 class TestMinWitnessOracle:
-    """find_min_witness decides disconnected candidates, and candidates a
-    kept counterexample extends to, without a search; the plain scan that
-    searches each one must give the same result."""
+    """find_min_witness skips disconnected candidates unbuilt, and decides
+    candidates a kept counterexample extends to without a search; the
+    plain scan that searches each one must give the same result."""
 
     @given(st.data())
     @settings(max_examples=500, deadline=None)
@@ -510,8 +512,8 @@ class TestMinWitnessOracle:
         assert searched == [(0, 1, 2), (0,), (0, 2)]
 
     def test_disconnected_candidate_counted_unsearched(self, monkeypatch):
-        # {0, 1} has no pair joining 0 and 1, so it is decided without a
-        # search; {0, 2} is a witness, since no successor of 1 has a loop
+        # {0, 1} has no pair joining 0 and 1, so it is skipped unbuilt and
+        # counted; {0, 2} is a witness, since no successor of 1 has a loop
         s = RelStruct(4, ((0, 2), (2, 2), (1, 3)))
         searched = []
         real = relations.check_witness
@@ -558,6 +560,119 @@ class TestMinWitnessOracle:
         P = product.build_product(ps, [phi.orientation_from_bits(ps, b) for b in bits])
         res = find_min_witness(P.structure, P.element(xi, 0), P.element(xi, 1))
         assert (res.witness.subset, res.minimal, res.checks_used) == expected
+
+
+def _pool_product(bits):
+    ps = plane.lattice_ball(2)
+    return product.build_product(ps, [phi.orientation_from_bits(ps, b) for b in bits])
+
+
+def _met_masks(s, x, y, budget, monkeypatch):
+    """find_min_witness's result and the mask of each candidate its scan
+    meets, recorded where the extension rule is tried on it."""
+    met = []
+    real = relations._extend_counterexample
+    monkeypatch.setattr(relations, "_extend_counterexample",
+                        lambda *args: met.append(args[3]) or real(*args))
+    return find_min_witness(s, x, y, budget=budget), met
+
+
+def _connected_masks(s, x, last):
+    """Masks of the connected candidates among check numbers 2..last of the
+    plain scan, in its order."""
+    others = [i for i in range(s.n) if i != x]
+    out = []
+    number = 1  # the full universe
+    for size in range(s.n):
+        for rest in combinations(others, size):
+            number += 1
+            if number > last:
+                return out
+            if relations.is_connected_within(s, (x,) + rest):
+                out.append(sum(1 << v for v in (x,) + rest))
+    return out
+
+
+class TestConnectedScan:
+    """The scan meets exactly the connected candidates, in the order of
+    combinations, and numbers every candidate as the plain scan does."""
+
+    def _check(self, s, x, y, budget, monkeypatch):
+        expected = reference_min_witness(s, x, y, budget=budget)
+        res, met = _met_masks(s, x, y, budget, monkeypatch)
+        assert (res.witness.subset, res.minimal, res.checks_used) == expected
+        # a minimal witness is the last candidate met; otherwise the scan
+        # met every candidate the budget reached
+        last = res.checks_used if res.minimal else budget
+        assert met == _connected_masks(s, x, last)
+
+    def test_pool_origin_input(self, monkeypatch):
+        P = _pool_product((138253369779, 18153949995))
+        s, x, y = P.structure, P.element(0, 0), P.element(0, 1)
+        self._check(s, x, y, 4096, monkeypatch)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_structures(self, data):
+        n = data.draw(st.integers(2, 9))
+        keep = data.draw(st.integers(1, 6))
+        marks = data.draw(st.lists(st.integers(0, 9), min_size=n * n, max_size=n * n))
+        s = RelStruct(n, tuple((i, j) for i in range(n) for j in range(n)
+                               if marks[i * n + j] < (keep if i != j else 1)))
+        x = data.draw(st.integers(0, n - 1))
+        y = data.draw(st.sampled_from([v for v in range(n) if v != x]))
+        budget = data.draw(st.integers(1, 300))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            try:
+                self._check(s, x, y, budget, monkeypatch)
+            except NoWitnessExists:
+                with pytest.raises(NoWitnessExists):
+                    find_min_witness(s, x, y, budget=budget)
+
+    @pytest.mark.parametrize("budget", [2, 3, 38, 39, 40, 704, 705, 706, 1000])
+    def test_budget_boundaries(self, budget):
+        # x = p0 has 37 others: the sizes end at checks 2, 39 and 705, and
+        # 1000 cuts the size-3 scan inside a prefix
+        P = _pool_product((138253369779, 18153949995))
+        s, x, y = P.structure, P.element(0, 0), P.element(0, 1)
+        assert s.n - 1 == 37
+        res = find_min_witness(s, x, y, budget=budget)
+        assert (res.witness.subset, res.minimal, res.checks_used) == \
+            reference_min_witness(s, x, y, budget=budget)
+
+    def test_seeded_products_pinned(self, monkeypatch):
+        # (subset, minimal, checks_used, hom searches) on 30 seeded products
+        # of lattice_ball(2), x at p0 and at a seeded point, at budgets 705
+        # and 4096; the digest was taken before the scan skipped
+        # disconnected candidates unbuilt
+        ps = plane.lattice_ball(2)
+        bits = phi.count_orientations(ps).bit_length() - 1
+        origin = ps.index_of(plane.P0)
+        rng = random.Random("min-witness-pin")
+        searches = []
+        real = relations.check_witness
+        monkeypatch.setattr(relations, "check_witness",
+                            lambda *args: searches.append(1) or real(*args))
+        rows = []
+        for _ in range(30):
+            P = product.build_product(ps, [phi.orientation_from_bits(ps, rng.getrandbits(bits))
+                                           for _ in range(2)])
+            for xi in (origin, rng.randrange(len(ps))):
+                for budget in (705, 4096):
+                    searches.clear()
+                    try:
+                        res = find_min_witness(P.structure, P.element(xi, 0),
+                                               P.element(xi, 1), budget=budget)
+                    except NoWitnessExists:
+                        rows.append(None)
+                        continue
+                    rows.append([list(res.witness.subset), res.minimal,
+                                 res.checks_used, len(searches)])
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == PINNED_SEEDED_DIGEST
+
+
+PINNED_SEEDED_DIGEST = "0b4e3dacb73001c3a787e69e76875de975250a8a971efc249bca3c9d27c35a3d"
 
 
 class TestRemark1:
