@@ -45,7 +45,8 @@ class Orientation:
         return frozenset(self.pairs)
 
     def relstruct(self) -> RelStruct:
-        return RelStruct(len(self.base), self.pairs)
+        # check_phi kept every pair in range, and pairs is sorted and unique
+        return RelStruct(len(self.base), self.pairs, canonical=True)
 
     def restrict(self, subset: PointSet) -> RelStruct:
         """Relational structure induced on a subset of the base points.

@@ -68,8 +68,10 @@ def build_product(X: PointSet, J) -> ProductStruct:
     n = len(X)
     pairs = []
     for s, member in enumerate(J.members):
-        pairs.extend((s * n + i, s * n + j) for (i, j) in member.pairs)
-    structure = RelStruct(n * len(J.members), tuple(pairs))
+        pairs += [(s * n + i, s * n + j) for i, j in member.pairs]
+    # each member's pairs are sorted, unique and in range, and fiber s
+    # holds the elements s * n .. s * n + n - 1, so the product's are too
+    structure = RelStruct(n * len(J.members), tuple(pairs), canonical=True)
     return ProductStruct(X, J, structure)
 
 
@@ -90,23 +92,24 @@ def find_conflict_edge(S: Orientation, Z: Orientation) -> ConflictEdge:
     directions; the doubled triangle pairs can never conflict.
 
     The edges are read off S itself, with no distance computed: every
-    Orientation passed check_phi when it was built, and its union clause
-    says that the pairs of S, taken without direction, are exactly the
-    unit edges of the base.  Sorting that support as (i, j), i < j, gives
-    the order of unit_graph(S.base), so the first conflict is the same
-    edge.
+    Orientation passed check_phi when it was built.  Its union clause
+    says that S and Z each direct every unit edge of the base at least
+    one way, and its doubled clause that both double the same two
+    triangle edges and no other.  A pair (i, j) of S missing from Z is
+    thus directed j -> i alone by Z, and i -> j alone by S, since S
+    doubles no edge Z leaves single: the pairs of S minus those of Z are
+    exactly the conflict edges, each directed as S directs it.  The least
+    (min(i, j), max(i, j)) among them comes first in the order of
+    unit_graph(S.base).
     """
     if S.base != Z.base:
         raise ValueError("orientations live over different bases")
-    sp, zp = S.pair_set, Z.pair_set
-    for i, j in sorted({(min(i, j), max(i, j)) for i, j in S.pairs}):
-        s_ij, s_ji = (i, j) in sp, (j, i) in sp
-        z_ij, z_ji = (i, j) in zp, (j, i) in zp
-        if s_ij and not s_ji and z_ji and not z_ij:
-            return ConflictEdge(S.base[i], S.base[j], i, j)
-        if s_ji and not s_ij and z_ij and not z_ji:
-            return ConflictEdge(S.base[j], S.base[i], j, i)
-    return None
+    first = min(((min(i, j), max(i, j), i, j) for i, j in S.pair_set - Z.pair_set),
+                default=None)
+    if first is None:
+        return None
+    i, j = first[2:]
+    return ConflictEdge(S.base[i], S.base[j], i, j)
 
 
 def trilaterate(d0sq, d1sq, d2sq) -> Point:
@@ -230,11 +233,11 @@ def witness_case2(x: Point, S: Orientation, Z: Orientation) -> Case2Witness:
     if conflict is None:
         raise ValueError("orientations agree on every singly-oriented edge")
     P = build_product(X, OrientationFamily(X, (S, Z)))
-    src = P.element(xi, 0)
-    tgt = P.element(xi, 1)
+    # element (i, member) is member * len(X) + i, so fiber 0 is range(len(X))
+    src, tgt = xi, len(X) + xi
     return Case2Witness(
         product=P,
-        witness=WitnessSet(tuple(P.element(i, 0) for i in range(len(X))), src, tgt),
+        witness=WitnessSet(range(len(X)), src, tgt),
         src=src,
         tgt=tgt,
         conflict=conflict,

@@ -7,31 +7,36 @@ instances fast; results are canonically sorted so parallel or reordered
 exploration cannot change observable output.
 
 Each domain is a Python int whose bit a stands for target element a.
-The target's successor, predecessor and two-way masks per element, with
-the OR of each mask list, are built on its first search and cached on the
-RelStruct.  Revising u against v is then D[u] &= OR of M[b] over b in
-D[v] (the cached OR when D[v] is full), and forward checking after
-v -> a is D[w] &= M[a].  That OR depends only on D[v] and the arc kind,
-so AC-3 computes it once per kind for each variable it pops.  Branching
-takes the unassigned variable with the fewest values, ties to the lowest
-index, and tries values in ascending order.
+Every RelStruct indexes its pairs as successor and predecessor masks per
+element, built once on first use and cached; both sides of a search
+read them.  The source's masks give each variable's arcs, bit by bit in
+ascending order, and restrict gathers an induced substructure's pairs
+from them.  On the target side the two-way masks and the OR of each mask
+list are cached as well.  Revising u against v is then D[u] &= OR of
+M[b] over b in D[v] (the cached OR when D[v] is full), and forward
+checking after v -> a is D[w] &= M[a].  That OR depends only on D[v] and
+the arc kind, so AC-3 computes it once per kind for each variable it
+pops.  Branching takes the unassigned variable with the fewest values,
+ties to the lowest index, and tries values in ascending order.
 
-AC-3's queue is first in first out.  It starts with the variables whose
-domain the pin or a loop already shrank, then the rest, each group in
-index order, so a pin's contradiction is found before near-full domains
-are walked.  The order cannot change a result.  Call a family of
-sub-domains arc-consistent when each value of u has a support in D[v]
-for every arc between u and v; a union of such families is one, so a
-largest, L, lies inside the starting domains.  A revision drops only
-values without support in the current domains, which by induction
-contain L, so it never drops a value of L.  Every variable with an arc
-starts in the queue and is queued again whenever its domain shrinks, so
-when the queue empties every arc is consistent: the domains are an
-arc-consistent family containing L, hence L, in any order.  Without a
-wipeout the search thus starts from the same domains and gives the same
-maps, nodes and truncated flag.  A wipeout in one order means L has an
-empty domain, and then every order either wipes out or leaves that
-domain empty, which skips the search: no maps, not truncated, 0 nodes.
+AC-3 revises shrunk domains first.  Its queue holds the variables whose
+domain the pin or a loop shrank, then every variable a revision shrinks,
+first in first out; only when it is empty does the next variable that
+still has a full domain come up, in index order.  A pin's contradiction
+is thus found before the full domains are walked.  The order cannot
+change a result.  Call a family of sub-domains arc-consistent when each
+value of u has a support in D[v] for every arc between u and v; a union
+of such families is one, so a largest, L, lies inside the starting
+domains.  A revision drops only values without support in the current
+domains, which by induction contain L, so it never drops a value of L.
+Every variable with an arc is revised at least once, and again after
+each time its domain shrinks, so when the queue empties every arc is
+consistent: the domains are an arc-consistent family containing L,
+hence L, in any order.  Without a wipeout the search thus starts from
+the same domains and gives the same maps, nodes and truncated flag.  A
+wipeout in one order means L has an empty domain, and then every order
+either wipes out or leaves that domain empty, which skips the search:
+no maps, not truncated, 0 nodes.
 
 find_min_witness scans candidate witnesses smallest-first but meets
 only the connected ones: it walks each size's prefixes in order and
@@ -43,21 +48,32 @@ search when a counterexample kept for it minus one element extends to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import InitVar, dataclass
+from functools import cached_property, reduce
 from itertools import combinations, product as iter_product
+from operator import index, or_
 
 from .errors import NoWitnessExists
 
 
 @dataclass(frozen=True)
 class RelStruct:
-    """Binary relational structure on universe {0, ..., n-1}."""
+    """Binary relational structure on universe {0, ..., n-1}.
+
+    The constructor sorts and deduplicates the pairs and checks them in
+    range.  A producer whose pairs are already sorted, unique, in-range
+    int tuples passes canonical=True, and the check is skipped.
+    """
 
     n: int
     pairs: tuple  # sorted, deduplicated (i, j) tuples
+    canonical: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, canonical):
+        if canonical:
+            return
+        if self.n < 0:
+            raise ValueError(f"universe size must be at least 0, got {self.n}")
         pr = tuple(sorted({(int(i), int(j)) for i, j in self.pairs}))
         for i, j in pr:
             if not (0 <= i < self.n and 0 <= j < self.n):
@@ -69,29 +85,63 @@ class RelStruct:
         return frozenset(self.pairs)
 
     @cached_property
-    def _masks(self) -> tuple:
-        """Target indexes for enumerate_homs, built on first search.
-
-        Returns (loop_mask, tables): bit a of loop_mask is set when (a, a)
-        is a pair; tables[1], [2], [3] hold the successor, predecessor and
-        two-way masks per element, each with the OR of its masks.
-        """
+    def _adjacency(self) -> tuple:
+        """(loop_mask, succ, pred): bit a of loop_mask is set when (a, a)
+        is a pair, bit j of succ[i] and bit i of pred[j] when (i, j) is."""
         succ = [0] * self.n
         pred = [0] * self.n
+        loop_mask = 0
         for i, j in self.pairs:
             succ[i] |= 1 << j
             pred[j] |= 1 << i
-        both = [s & p for s, p in zip(succ, pred)]
-        loop_mask = _or_all(m & (1 << a) for a, m in enumerate(succ))
+            if i == j:
+                loop_mask |= 1 << i
+        return loop_mask, succ, pred
+
+    @cached_property
+    def _masks(self) -> tuple:
+        """Target indexes for enumerate_homs, built on first search.
+
+        Returns (loop_mask, tables): tables[1], [2], [3] hold the
+        successor, predecessor and two-way masks per element, each with
+        the OR of its masks.
+        """
+        loop_mask, succ, pred = self._adjacency
+        both = list(map(int.__and__, succ, pred))
         tables = (None,) + tuple((m, _or_all(m)) for m in (succ, pred, both))
         return loop_mask, tables
 
     def restrict(self, indices) -> "RelStruct":
-        """Induced substructure; element k is the k-th listed index."""
-        idx = list(indices)
-        pos = {v: k for k, v in enumerate(idx)}
-        pr = [(pos[i], pos[j]) for (i, j) in self.pairs if i in pos and j in pos]
-        return RelStruct(len(idx), tuple(pr))
+        """Induced substructure; element k is the k-th listed index.
+
+        An index outside [0, n) or listed twice raises ValueError.  The
+        full universe listed in order gives the structure itself.
+        """
+        idx = list(map(index, indices))
+        pos = [-1] * self.n
+        for k, v in enumerate(idx):
+            if not 0 <= v < self.n:
+                raise ValueError(f"index {v} out of range for n={self.n}")
+            if pos[v] >= 0:
+                raise ValueError(f"index {v} listed twice")
+            pos[v] = k
+        ordered = idx == sorted(idx)
+        if ordered and len(idx) == self.n:
+            return self
+        # element k's successors inside idx, ascending: the pairs come out
+        # sorted when positions follow the indices, and are sorted otherwise
+        within = _or_all(map((1).__lshift__, idx))
+        _, succ, _ = self._adjacency
+        pairs = []
+        for k, v in enumerate(idx):
+            out = succ[v] & within
+            while out:
+                low = out & -out
+                out ^= low
+                pairs.append((k, pos[low.bit_length() - 1]))
+        if not ordered:
+            pairs.sort()
+        return RelStruct(len(idx), tuple(pairs), canonical=True)
 
 
 @dataclass(frozen=True)
@@ -110,10 +160,7 @@ class HomSearchResult:
 
 
 def _or_all(masks) -> int:
-    out = 0
-    for m in masks:
-        out |= m
-    return out
+    return reduce(or_, masks, 0)
 
 
 def _support(masks, full_or: int, domain: int, full: int) -> int:
@@ -146,36 +193,58 @@ def enumerate_homs(src: RelStruct, dst: RelStruct, pin=None, limit=None) -> HomS
     full = (1 << dst.n) - 1
     loop_mask, tables = dst._masks
 
-    # kind[(u, v)]: bit 1 when (u, v) is a src pair, bit 2 when (v, u) is;
-    # tables[kind] then gives, per value a of u, the values v may take
-    kind = {}
-    domains = [full] * n
-    for i, j in src.pairs:
-        if i == j:
-            domains[i] &= loop_mask
-        else:
-            kind[i, j] = kind.get((i, j), 0) | 1
-            kind[j, i] = kind.get((j, i), 0) | 2
+    src_loops, succ, pred = src._adjacency
+    arcs = [None] * n
+
+    def build_arcs(u: int) -> None:
+        """Fill arcs[u], on first need: (v, kind, masks, OR of masks) by
+        ascending v, kind bit 1 when (u, v) is a src pair and bit 2 when
+        (v, u) is; masks then gives, per value a of u, the values v may
+        take."""
+        bit = 1 << u
+        out, into = succ[u] & ~bit, pred[u] & ~bit
+        row = []
+        rest = out | into
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            k = (1 if out & low else 0) | (2 if into & low else 0)
+            row.append((low.bit_length() - 1, k) + tables[k])
+        arcs[u] = row
+
+    domains = [loop_mask if src_loops >> u & 1 else full for u in range(n)]
     for i, a in pin.items():
         domains[i] &= 1 << a
-    arcs = [[] for _ in range(n)]
-    for (u, v), k in sorted(kind.items()):
-        arcs[u].append((v, k) + tables[k])
 
-    # AC-3 over variables, first in first out from the variables the pin
-    # or a loop shrank: a shrunk domain re-revises its neighbours.
-    # domains[v] stays fixed while v's arcs are revised, so each arc kind
-    # needs its support only once per pop
-    queue = ([v for v in range(n) if arcs[v] and domains[v] != full]
-             + [v for v in range(n) if arcs[v] and domains[v] == full])
-    queued = [bool(arcs[v]) for v in range(n)]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        queued[v] = False
+    # AC-3 over the variables with an arc.  A variable whose domain shrank
+    # is revised before any that still waits with a full domain: the
+    # shrunk ones are popped first in first out, and the waiting ones in
+    # index order, each skipped once it has shrunk, since it then sits in
+    # the shrunk queue.  domains[v] stays fixed while v's arcs are
+    # revised, so each arc kind needs its support only once per pop
+    linked = [v for v in range(n) if (succ[v] | pred[v]) & ~(1 << v)]
+    queue = [v for v in linked if domains[v] != full]
+    waiting = [v for v in linked if domains[v] == full]
+    queued = [False] * n
+    for v in queue:
+        queued[v] = True
+    head = wait = 0
+    while True:
+        if head < len(queue):
+            v = queue[head]
+            head += 1
+            queued[v] = False
+        else:
+            while wait < len(waiting) and domains[waiting[wait]] != full:
+                wait += 1
+            if wait == len(waiting):
+                break
+            v = waiting[wait]
+            wait += 1
         dv = domains[v]
         supports = [-1] * 4  # by arc kind, -1 until first needed
+        if arcs[v] is None:
+            build_arcs(v)
         for u, k, masks, full_or in arcs[v]:
             support = supports[k]
             if support < 0:
@@ -189,6 +258,9 @@ def enumerate_homs(src: RelStruct, dst: RelStruct, pin=None, limit=None) -> HomS
                 if not queued[u]:
                     queued[u] = True
                     queue.append(u)
+    for u in range(n):
+        if arcs[u] is None:
+            build_arcs(u)
 
     maps = []
     nodes = 0
@@ -305,8 +377,7 @@ def check_witness(s: RelStruct, w: WitnessSet) -> WitnessCheck:
     the pairs lying inside the subset."""
     sub = w.subset
     induced = s.restrict(sub)
-    pos = {v: k for k, v in enumerate(sub)}
-    result = enumerate_homs(induced, s, pin={pos[w.x]: w.y}, limit=1)
+    result = enumerate_homs(induced, s, pin={sub.index(w.x): w.y}, limit=1)
     if not result.maps:
         return WitnessCheck(True, None)
     vec = result.maps[0]
@@ -457,8 +528,7 @@ def _extend_counterexample(s: RelStruct, known: dict, rest, mask: int):
     """A counterexample for the candidate `mask` made by giving one v of
     `rest` (the candidate without x) an image on top of the counterexample
     `known` holds for the candidate without v; None when there is none."""
-    loop_mask, tables = s._masks
-    succ, pred = tables[1][0], tables[2][0]
+    loop_mask, succ, pred = s._adjacency
     full = (1 << s.n) - 1
     for v in rest:
         h = known.get(mask ^ 1 << v)
@@ -484,9 +554,8 @@ def _extend_counterexample(s: RelStruct, known: dict, rest, mask: int):
 def _neighbours(s: RelStruct) -> list:
     """Per element v, the mask of elements sharing a pair with v, loops
     dropped, read off the structure's cached masks."""
-    _, tables = s._masks
-    return [(out | into) & ~(1 << v)
-            for v, (out, into) in enumerate(zip(tables[1][0], tables[2][0]))]
+    _, succ, pred = s._adjacency
+    return [(out | into) & ~(1 << v) for v, (out, into) in enumerate(zip(succ, pred))]
 
 
 def is_connected_within(s: RelStruct, subset) -> bool:

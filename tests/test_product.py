@@ -357,6 +357,30 @@ class TestVerifyFiberAudit:
         assert (verdict.fiber_consistent, verdict.maps_checked) == (True, 1)
 
 
+# the eight orientation pairs of lattice_ball(2) with no witness in their
+# two-member product, as seed:round of the case-2 benchmark workload:
+# (S bits, Z bits, index of x) and the images of the S fiber's elements
+# 0..18 under the counterexample verify_product_witness reports
+NO_WITNESS = [
+    (224747282273, 474246957824, 6,
+     (19, 23, 21, 25, 23, 23, 25, 25, 19, 20, 19, 19, 23, 21, 19, 19, 25, 19, 23)),  # 3:102
+    (381199275189, 202044888930, 6,
+     (19, 23, 25, 25, 23, 23, 25, 21, 19, 23, 19, 19, 23, 25, 19, 19, 21, 19, 23)),  # 5:212
+    (357706255478, 494293321939, 4,
+     (19, 23, 25, 25, 23, 23, 25, 25, 19, 24, 19, 19, 23, 21, 19, 19, 25, 19, 23)),  # 11:5
+    (233584402400, 393679076909, 2,
+     (19, 23, 21, 25, 23, 23, 25, 25, 19, 23, 19, 19, 23, 25, 19, 19, 21, 19, 23)),  # 14:365
+    (12245180894, 218897801170, 6,
+     (19, 23, 25, 21, 23, 23, 25, 25, 19, 23, 19, 19, 23, 25, 19, 19, 25, 19, 23)),  # 16:171
+    (375364273396, 516269152397, 0,
+     (19, 23, 25, 25, 23, 23, 25, 25, 19, 23, 19, 19, 23, 25, 19, 19, 25, 19, 24)),  # 17:91
+    (232382629113, 389343303169, 6,
+     (19, 23, 25, 25, 23, 23, 25, 25, 19, 23, 19, 19, 24, 25, 19, 19, 21, 19, 23)),  # 17:600
+    (217448865013, 129301345505, 6,
+     (19, 23, 21, 25, 23, 23, 25, 25, 19, 20, 19, 19, 23, 25, 19, 19, 21, 19, 23)),  # 31:491
+]
+
+
 class TestCase2:
     def test_valid_for_center_and_ring(self):
         ps, S, Z = _ball1_orientation_pair()
@@ -418,6 +442,15 @@ class TestCase2:
         got = (verdict.valid, verdict.fiber_consistent,
                built.conflict.ui, built.conflict.vi)
         assert got == CASE2_EXPECTED[k]
+
+    def test_no_witness_counterexamples_pinned(self):
+        ps = lattice_ball(2)
+        for s_bits, z_bits, xi, images in NO_WITNESS:
+            built = witness_case2(ps[xi], orientation_from_bits(ps, s_bits),
+                                  orientation_from_bits(ps, z_bits))
+            verdict = verify_product_witness(built.product, built.witness)
+            assert not verdict.valid
+            assert verdict.counterexample == dict(enumerate(images))
 
     def test_x_without_unit_path_to_p0(self):
         # x has no unit neighbour, so nothing in the S fiber holds it back:

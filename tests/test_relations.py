@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -39,9 +40,11 @@ def structs(draw, n_max=4):
     return RelStruct(n, tuple(pairs))
 
 
-def reference_homs(src, dst, pin=None, limit=None):
-    """enumerate_homs with its earlier AC-3 queue, popped last in first out
-    over every variable with an arc: (maps, nodes, truncated)."""
+def reference_homs(src, dst, pin=None, limit=None, order="lifo"):
+    """enumerate_homs with one of its earlier AC-3 queues: (maps, nodes,
+    truncated).  "lifo" pops last in first out over every variable with an
+    arc; "fifo" pops first in first out, from the variables the pin or a
+    loop shrank, then the rest, and appends a shrunk variable behind them."""
     pin = dict(pin) if pin else {}
     n = src.n
     full = (1 << dst.n) - 1
@@ -59,10 +62,12 @@ def reference_homs(src, dst, pin=None, limit=None):
     arcs = [[] for _ in range(n)]
     for (u, v), k in sorted(kind.items()):
         arcs[u].append((v, k) + tables[k])
-    queue = [v for v in range(n) if arcs[v]]
+    queue = deque(v for v in range(n) if arcs[v])
+    if order == "fifo":
+        queue = deque(sorted(queue, key=lambda v: domains[v] == full))
     queued = [bool(arcs[v]) for v in range(n)]
     while queue:
-        v = queue.pop()
+        v = queue.pop() if order == "lifo" else queue.popleft()
         queued[v] = False
         dv = domains[v]
         supports = [-1] * 4
@@ -134,6 +139,15 @@ def reference_homs(src, dst, pin=None, limit=None):
     return tuple(sorted(maps)), nodes, truncated
 
 
+def reference_restrict(s, indices):
+    """RelStruct.restrict as it was before it read the masks: every pair
+    filtered through a dict of positions."""
+    idx = list(indices)
+    pos = {v: k for k, v in enumerate(idx)}
+    return RelStruct(len(idx), tuple((pos[i], pos[j]) for i, j in s.pairs
+                                     if i in pos and j in pos))
+
+
 def reference_min_witness(s, x, y, budget=4096):
     """find_min_witness as a plain smallest-first scan that searches every
     candidate: (subset, minimal, checks_used)."""
@@ -175,6 +189,41 @@ class TestRelStruct:
         sub = s.restrict((1, 2, 3))
         assert sub.n == 3
         assert sub.pairs == ((0, 1), (1, 2))
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError, match="at least 0"):
+            RelStruct(-2, ())
+
+    @pytest.mark.parametrize("indices,message", [
+        ([2, 0, 0], "listed twice"), ([0, 3], "out of range"),
+        ([-1], "out of range"), ([0, 1, -3], "out of range"),
+    ])
+    def test_restrict_refuses_bad_indices(self, indices, message):
+        # a negative index would read another element's masks
+        s = RelStruct(3, ((0, 1), (1, 2)))
+        with pytest.raises(ValueError, match=message):
+            s.restrict(indices)
+
+    def test_restrict_to_full_universe_in_order_is_itself(self):
+        s = RelStruct(3, ((0, 1), (1, 2), (2, 2)))
+        assert s.restrict(range(3)) is s
+        assert s.restrict((2, 1, 0)).pairs == ((0, 0), (1, 0), (2, 1))
+
+    @given(structs(n_max=7), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_restrict_matches_pair_filter(self, s, data):
+        # loops come with each pair at the rate of any other pair
+        shape = data.draw(st.sampled_from(["ordered", "unordered", "full", "singleton"]))
+        if shape == "singleton":
+            idx = [data.draw(st.integers(0, s.n - 1))]
+        elif shape == "full":
+            idx = data.draw(st.permutations(range(s.n)))
+        else:
+            idx = data.draw(st.lists(st.integers(0, s.n - 1), unique=True))
+            if shape == "ordered":
+                idx.sort()
+        got = s.restrict(idx)
+        assert (got.n, got.pairs) == (len(idx), reference_restrict(s, idx).pairs)
 
 
 class TestEnumerateHoms:
@@ -249,7 +298,10 @@ class TestEnumerateHoms:
     @settings(max_examples=400, deadline=None)
     def test_queue_order_keeps_search(self, data):
         # AC-3 reaches the same domains in any queue order, so the search
-        # tree of the earlier last-in-first-out queue must come back
+        # trees of the earlier last-in-first-out queue and of the
+        # first-in-first-out one, which queued a shrunk domain behind the
+        # full ones, must come back from the shrunk-first queue; pins and
+        # loops shrink domains before AC-3 starts
         src, dst = data.draw(structs(n_max=8)), data.draw(structs(n_max=8))
         pin = data.draw(st.dictionaries(st.integers(0, src.n - 1),
                                         st.integers(0, dst.n - 1), max_size=3))
@@ -257,7 +309,9 @@ class TestEnumerateHoms:
         limits = st.integers(1, 64)
         limit = data.draw(limits if src.n > 4 else st.none() | limits)
         res = enumerate_homs(src, dst, pin=pin, limit=limit)
-        assert (res.maps, res.nodes, res.truncated) == reference_homs(src, dst, pin, limit)
+        got = (res.maps, res.nodes, res.truncated)
+        for order in ("lifo", "fifo"):
+            assert got == reference_homs(src, dst, pin, limit, order)
 
 
 @pytest.fixture(scope="module")
@@ -292,6 +346,13 @@ def pinned_search_inputs():
     out["no-witness-full"] = _fiber_check(built.product.structure,
                                           range(built.product.structure.n),
                                           built.src, built.tgt)
+    # the whole-fiber check of a case-2 witness over lattice_ball(3)
+    ball3 = plane.lattice_ball(3)
+    built = product.witness_case2(
+        ball3[33], phi.orientation_from_bits(ball3, 24967515208624689102891946),
+        phi.orientation_from_bits(ball3, 130627843818302973200371368))
+    out["case2-r3"] = _fiber_check(built.product.structure, built.witness.subset,
+                                   built.src, built.tgt)
     return out
 
 
@@ -321,6 +382,7 @@ class TestPinnedSearchCounts:
         ("no-witness", 1, (1, 19, True)), ("no-witness", None, (2, 20, False)),
         ("no-witness-full", 1, (1, 47, True)), ("no-witness-full", 2, (2, 81, True)),
         ("no-witness-full", None, (2, 86, False)),
+        ("case2-r3", 1, (0, 0, False)), ("case2-r3", None, (0, 0, False)),
     ])
     def test_counts(self, name, limit, expected, pinned_search_inputs):
         src, dst, pin = pinned_search_inputs[name]
@@ -338,6 +400,19 @@ class TestPinnedSearchCounts:
         src, dst, pin = pinned_search_inputs["pool-p0"]
         assert not enumerate_homs(src, dst, pin=pin, limit=1).maps
         assert len(calls) <= 20
+
+    def test_case2_fiber_check_support_calls(self, pinned_search_inputs, monkeypatch):
+        # shrunk domains are revised first, so the pin's wipeout over the
+        # 37-point fiber comes after 4 supports; the first-in-first-out
+        # queue put the shrunk neighbours behind the 36 full domains still
+        # waiting and computed 38
+        calls = []
+        real = relations._support
+        monkeypatch.setattr(relations, "_support",
+                            lambda *args: calls.append(1) or real(*args))
+        src, dst, pin = pinned_search_inputs["case2-r3"]
+        assert not enumerate_homs(src, dst, pin=pin, limit=1).maps
+        assert len(calls) == 4
 
 
 class TestRigid:
@@ -368,6 +443,14 @@ class TestWitness:
     def test_witness_set_requires_membership(self):
         with pytest.raises(ValueError):
             WitnessSet((0, 1), 2, 0)
+
+    @pytest.mark.parametrize("subset", [(0, 99), (0, -1)])
+    def test_check_witness_refuses_subset_outside_universe(self, subset):
+        # such a subset once came back with a counterexample naming the
+        # missing element, e.g. {0: 1, 99: 0}
+        s = RelStruct(3, ((0, 1), (1, 2)))
+        with pytest.raises(ValueError, match="out of range"):
+            check_witness(s, WitnessSet(subset, 0, 1))
 
     def test_check_witness_valid(self):
         s = RelStruct(3, ((0, 2), (1, 0)))
