@@ -40,8 +40,7 @@ def main() -> int:
     i0, i1, _ = ps.triangle_indices()
     for label, x in (("center", ps[i0]), ("ring vertex", ps[i1])):
         built = witness_case2(x, S, Z)
-        verdict = verify_product_witness(built.product, built.witness,
-                                         enumerate_all=True)
+        verdict = verify_product_witness(built.product, built.witness)
         status = "VERIFIED" if verdict.valid else "REFUTED"
         print(f"{label}: witness of {len(built.witness.subset)} elements "
               f"(the whole S fiber): {status}")

@@ -44,9 +44,15 @@ class Orientation:
     def pair_set(self) -> frozenset:
         return frozenset(self.pairs)
 
-    def relstruct(self) -> RelStruct:
+    @cached_property
+    def _relstruct(self) -> RelStruct:
         # check_phi kept every pair in range, and pairs is sorted and unique
         return RelStruct(len(self.base), self.pairs, canonical=True)
+
+    def relstruct(self) -> RelStruct:
+        """The orientation as a relational structure, built once, so that
+        its masks are indexed once per orientation."""
+        return self._relstruct
 
     def restrict(self, subset: PointSet) -> RelStruct:
         """Relational structure induced on a subset of the base points.

@@ -7,13 +7,23 @@ disjoint fiber.  Separating (x, S) from (y, S) for x != y rides on a
 distance certificate anchored at a triangle corner.  Separating (x, S)
 from (x, Z) for S != Z needs an edge the two members orient oppositely,
 and offers the whole S fiber as the witness.  Both constructions end in
-a machine check: `verify_product_witness` does an exhaustive map search
-and owes nothing to the geometric reasoning that predicted its verdict.
+a machine check, `verify_product_witness`, an exhaustive map search that
+owes nothing to the geometric reasoning that predicted its verdict.
+
+That search never builds the product.  Since no pair joins two fibers, a
+witness W is judged by the component of x alone, and that component lies
+in one fiber and maps into one fiber: checking W in the product is one
+search from the member holding x into the member holding y
+(`verify_product_witness` gives the proof; maps of a connected structure
+into a disjoint union are standard, see Hell and Nesetril, Graphs and
+Homomorphisms, ch. 1).  The product's relational structure is built
+only when it is read, as by the `product` writers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bq import GrowResult, grow_witness
 from .errors import InconsistentDistances, NotRepresentable
@@ -28,22 +38,27 @@ from .numeric import (
 )
 from .phi import Orientation, OrientationFamily, orientation_from_bits
 from .plane import TRIANGLE, PointSet
-from .relations import (
-    RelStruct,
-    WitnessSet,
-    check_witness,
-    enumerate_homs,
-    is_connected_within,
-)
+from .relations import RelStruct, WitnessSet, _component, _neighbours, enumerate_homs
 
 
 @dataclass(frozen=True)
 class ProductStruct:
-    """Relational structure on points x members with fiberwise pairs."""
+    """Points x members with fiberwise pairs: element (point i, member s)
+    is s * len(base) + i."""
 
     base: PointSet
     family: OrientationFamily
-    structure: RelStruct
+
+    @cached_property
+    def structure(self) -> RelStruct:
+        """The product's relational structure, built on first read."""
+        n = len(self.base)
+        pairs = []
+        for s, member in enumerate(self.family.members):
+            pairs += [(s * n + i, s * n + j) for i, j in member.pairs]
+        # each member's pairs are sorted, unique and in range, and fiber s
+        # holds the elements s * n .. s * n + n - 1, so the product's are too
+        return RelStruct(n * len(self.family), tuple(pairs), canonical=True)
 
     def element(self, point_idx: int, member_idx: int) -> int:
         n = len(self.base)
@@ -55,9 +70,6 @@ class ProductStruct:
         n = len(self.base)
         return (e % n, e // n)
 
-    def fiber_of(self, e: int) -> int:
-        return e // len(self.base)
-
 
 def build_product(X: PointSet, J) -> ProductStruct:
     """Product structure over X and a family J (list or OrientationFamily)."""
@@ -65,14 +77,7 @@ def build_product(X: PointSet, J) -> ProductStruct:
         J = OrientationFamily(X, tuple(J))
     if J.base != X:
         raise ValueError("family base differs from the product base")
-    n = len(X)
-    pairs = []
-    for s, member in enumerate(J.members):
-        pairs += [(s * n + i, s * n + j) for i, j in member.pairs]
-    # each member's pairs are sorted, unique and in range, and fiber s
-    # holds the elements s * n .. s * n + n - 1, so the product's are too
-    structure = RelStruct(n * len(J.members), tuple(pairs), canonical=True)
-    return ProductStruct(X, J, structure)
+    return ProductStruct(X, J)
 
 
 @dataclass(frozen=True)
@@ -101,15 +106,26 @@ def find_conflict_edge(S: Orientation, Z: Orientation) -> ConflictEdge:
     exactly the conflict edges, each directed as S directs it.  The least
     (min(i, j), max(i, j)) among them comes first in the order of
     unit_graph(S.base).
+
+    Those pairs are read off the members' masks: the pairs of S minus Z
+    leaving i are succ_S[i] & ~succ_Z[i], and those entering i
+    pred_S[i] & ~pred_Z[i].  The least edge's lower end a is the least
+    element on any of them, since every conflict edge at a then goes up
+    from it, and its upper end is the least element a shares one with.
     """
     if S.base != Z.base:
         raise ValueError("orientations live over different bases")
-    first = min(((min(i, j), max(i, j), i, j) for i, j in S.pair_set - Z.pair_set),
-                default=None)
-    if first is None:
-        return None
-    i, j = first[2:]
-    return ConflictEdge(S.base[i], S.base[j], i, j)
+    _, succ_s, pred_s = S.relstruct()._adjacency
+    _, succ_z, pred_z = Z.relstruct()._adjacency
+    for a in range(len(succ_s)):
+        out = succ_s[a] & ~succ_z[a]
+        ends = out | pred_s[a] & ~pred_z[a]
+        if ends:
+            low = ends & -ends
+            b = low.bit_length() - 1
+            i, j = (a, b) if out & low else (b, a)
+            return ConflictEdge(S.base[i], S.base[j], i, j)
+    return None
 
 
 def trilaterate(d0sq, d1sq, d2sq) -> Point:
@@ -248,41 +264,63 @@ def witness_case2(x: Point, S: Orientation, Z: Orientation) -> Case2Witness:
 @dataclass(frozen=True)
 class VerifyResult:
     valid: bool
-    counterexample: dict
-    fiber_consistent: bool
-    maps_checked: int
+    counterexample: dict  # product element -> image, None when valid
 
     def __bool__(self):
         return self.valid
 
 
-def verify_product_witness(P: ProductStruct, witness: WitnessSet,
-                           enumerate_all: bool = False) -> VerifyResult:
-    """Exhaustive check that no pair-preserving map of the witness sends
-    src to tgt, plus a fiber-decomposition audit of any maps found.
+def verify_product_witness(P: ProductStruct, witness: WitnessSet) -> VerifyResult:
+    """Exhaustive check that no map of the witness into the product sends
+    x to y while preserving the product pairs inside the witness.
 
-    For a witness connected inside the product graph every counterexample
-    must land in a single fiber; finding one that straddles fibers would
-    indicate an engine bug, so it is surfaced via fiber_consistent=False.
+    The check is one search from member s into member t, where x lies in
+    fiber s and y in fiber t, and the product is never built.  Take W's
+    pairs as undirected edges and let C be the component of x.  No
+    product pair joins two fibers, so C lies in fiber s and is x's
+    component within W's part of that fiber, read off member s's masks.
+
+    - W is a witness exactly when C is.  Every pair of W lies inside one
+      component, so a map of C with x -> y, extended by the identity on
+      the rest of W, preserves W's pairs; and a map of W restricts to
+      one of C.
+    - Every map of C with x -> y lands in fiber t.  C is connected and
+      each pair of it goes to a product pair, which lies in one fiber, so
+      all of C goes to the fiber of y.
+    - Fiber t is a copy of member t.  So the maps of C into the product
+      with x -> y are the maps of member s restricted to C into member t,
+      with x's point pinned to y's, moved into fiber t.
+
+    A counterexample is reported in product elements: C's images in
+    fiber t, and every other element of W fixed.  When C is all of W,
+    the search is the one in the product, variables and values in the
+    same order, and finds the same first map: once x is pinned into
+    fiber t, arc consistency leaves every variable of C only values in
+    fiber t, so both searches start from the same domains.  An element
+    of W or a y outside the product raises ValueError.
     """
-    first = check_witness(P.structure, witness)
-    if first.valid:
-        return VerifyResult(True, None, True, 0)
-    connected = is_connected_within(P.structure, witness.subset)
-    maps = [first.counterexample]
-    if enumerate_all:
-        sub = witness.subset
-        induced = P.structure.restrict(sub)
-        pos = {v: k for k, v in enumerate(sub)}
-        result = enumerate_homs(induced, P.structure, pin={pos[witness.x]: witness.y})
-        maps = [
-            {sub[k]: vec[k] for k in range(len(sub))}
-            for vec in result.maps
-        ]
-    fiber_ok = True
-    if connected:
-        for m in maps:
-            fibers = {P.fiber_of(img) for img in m.values()}
-            if len(fibers) > 1:
-                fiber_ok = False
-    return VerifyResult(False, first.counterexample, fiber_ok, len(maps))
+    n = len(P.base)
+    size = n * len(P.family)
+    sub = witness.subset
+    # subset is sorted, so its ends bound it
+    for e in (sub[0], sub[-1]):
+        if not 0 <= e < size:
+            raise ValueError(f"index {e} out of range for n={size}")
+    if not 0 <= witness.y < size:
+        raise ValueError(f"target {witness.y} out of range for n={size}")
+    xi, s = P.decode(witness.x)
+    yi, t = P.decode(witness.y)
+    S = P.family.members[s].relstruct()
+    T = P.family.members[t].relstruct()
+    lo = s * n
+    within = 0
+    for e in sub:
+        if lo <= e < lo + n:
+            within |= 1 << e - lo
+    component = _component(_neighbours(S), xi, within)
+    points = [i for i in range(n) if component >> i & 1]
+    result = enumerate_homs(S.restrict(points), T, pin={points.index(xi): yi}, limit=1)
+    if not result.maps:
+        return VerifyResult(True, None)
+    image = {lo + i: t * n + a for i, a in zip(points, result.maps[0])}
+    return VerifyResult(False, {e: image.get(e, e) for e in sub})

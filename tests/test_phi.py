@@ -149,3 +149,14 @@ class TestObservationHarness:
         o = orientation_from_bits(ps, 0)
         with pytest.raises(ValueError):
             o.restrict(PointSet([lattice_point(3, 3)]))
+
+    def test_relstruct_built_once(self):
+        # one structure per orientation, so its masks are indexed once;
+        # restricting to the whole base in order gives that same structure
+        ps = lattice_ball(1)
+        o = orientation_from_bits(ps, 137)
+        rs = o.relstruct()
+        assert rs is o.relstruct()
+        assert (rs.n, rs.pairs) == (len(ps), o.pairs)
+        assert o.restrict(ps) is rs
+        assert o == orientation_from_bits(ps, 137)

@@ -88,20 +88,20 @@ def _case2_inputs():
 
 
 CASE2_INPUTS = _case2_inputs()
-# (valid, fiber_consistent, conflict ui, conflict vi) per input; draw 21
+# (valid, conflict ui, conflict vi) per input; draw 21
 # (R = 1) is an orientation pair whose product admits no witness
 CASE2_EXPECTED = [
-    (True, True, 4, 2), (True, True, 4, 2),
-    (True, True, 0, 1), (True, True, 0, 1), (True, True, 2, 0),
-    (True, True, 0, 3), (True, True, 0, 1), (True, True, 1, 0),
-    (True, True, 0, 1), (True, True, 0, 1), (True, True, 0, 3),
-    (True, True, 3, 0), (True, True, 1, 0), (True, True, 1, 0),
-    (True, True, 0, 2), (True, True, 0, 1), (True, True, 1, 0),
-    (True, True, 1, 0), (True, True, 2, 0), (True, True, 0, 2),
-    (True, True, 0, 3), (True, True, 2, 0), (True, True, 2, 0),
-    (False, True, 0, 1), (True, True, 1, 0), (True, True, 0, 1),
-    (True, True, 1, 0), (True, True, 0, 1), (True, True, 0, 1),
-    (True, True, 0, 2), (True, True, 0, 3), (True, True, 0, 2),
+    (True, 4, 2), (True, 4, 2),
+    (True, 0, 1), (True, 0, 1), (True, 2, 0),
+    (True, 0, 3), (True, 0, 1), (True, 1, 0),
+    (True, 0, 1), (True, 0, 1), (True, 0, 3),
+    (True, 3, 0), (True, 1, 0), (True, 1, 0),
+    (True, 0, 2), (True, 0, 1), (True, 1, 0),
+    (True, 1, 0), (True, 2, 0), (True, 0, 2),
+    (True, 0, 3), (True, 2, 0), (True, 2, 0),
+    (False, 0, 1), (True, 1, 0), (True, 0, 1),
+    (True, 1, 0), (True, 0, 1), (True, 0, 1),
+    (True, 0, 2), (True, 0, 3), (True, 0, 2),
 ]
 
 
@@ -120,7 +120,7 @@ class TestBuildProduct:
         assert P.structure.n == 14
         assert len(P.structure.pairs) == len(S.pairs) + len(Z.pairs)
         for a, b in P.structure.pairs:
-            assert P.fiber_of(a) == P.fiber_of(b)
+            assert P.decode(a)[1] == P.decode(b)[1]
 
     def test_element_decode_roundtrip(self):
         ps = lattice_ball(1)
@@ -184,6 +184,29 @@ class TestConflictEdge:
             assert find_conflict_edge(S, S) is None
             for a, b in ((S, Z), (Z, S), (S, Zt), (Zt, S)):
                 assert find_conflict_edge(a, b) == self._oracle(a, b)
+
+    @staticmethod
+    def _pair_difference(S, Z):
+        """The conflict edge as the least (min, max) of S's pairs missing
+        from Z, which find_conflict_edge reads off the masks instead."""
+        first = min(((min(i, j), max(i, j), i, j) for i, j in S.pair_set - Z.pair_set),
+                    default=None)
+        return None if first is None else ConflictEdge(S.base[first[2]], S.base[first[3]],
+                                                       *first[2:])
+
+    def test_masks_match_pair_difference(self):
+        pairs = [(S, Z) for _, S, Z in CASE2_INPUTS]
+        rng = random.Random("conflict-masks:1")
+        balls = [lattice_ball(r) for r in (1, 2, 3)]
+        for _ in range(200):
+            ps = rng.choice(balls)
+            m = count_orientations(ps).bit_length() - 1
+            pairs.append((orientation_from_bits(ps, rng.getrandbits(m)),
+                          orientation_from_bits(ps, rng.getrandbits(m))))
+        assert len(pairs) == 232
+        for S, Z in pairs:
+            for a, b in ((S, Z), (Z, S), (S, S)):
+                assert find_conflict_edge(a, b) == self._pair_difference(a, b)
 
     def test_unequal_bases_refused(self):
         S = orientation_from_bits(lattice_ball(1), 0)
@@ -335,26 +358,117 @@ class TestCase1:
         assert verdict.counterexample[src] == tgt
 
 
-class TestVerifyFiberAudit:
-    """Only a witness connected in the product graph is audited for maps
-    that straddle fibers; the counts are the ones the per-witness graph
-    search gave before connectivity came from the structure's masks."""
+def _replays(P, w, image) -> bool:
+    """Whether `image` maps w.subset into the product with x -> y and
+    carries every product pair inside the subset onto a product pair."""
+    s = P.structure
+    inside = set(w.subset)
+    return (set(image) == inside and image[w.x] == w.y
+            and all(0 <= v < s.n for v in image.values())
+            and all((image[a], image[b]) in s.pair_set
+                    for a, b in s.pairs if a in inside and b in inside))
 
-    @pytest.mark.parametrize("subset,x,y,maps_checked", [
-        ((0, 1), 0, 7, 6),    # one S edge, connected
-        ((1, 4), 1, 8, 14),   # two S points sharing no pair
-        ((0, 8), 0, 7, 14),   # one point from each fiber
+
+def _oracle_agrees(P, w):
+    """verify_product_witness against check_witness in the built product:
+    the same verdict, the same counterexample when x's component is the
+    whole witness, and otherwise a counterexample that replays."""
+    got = verify_product_witness(P, w)
+    want = check_witness(P.structure, w)
+    assert got.valid == want.valid
+    if got.valid:
+        assert got.counterexample is None
+        return got
+    if is_connected_within(P.structure, w.subset):  # x's component is all of w
+        assert got.counterexample == want.counterexample
+    else:
+        assert _replays(P, w, got.counterexample)
+    return got
+
+
+class TestVerifyOracle:
+    """The member-to-member search of verify_product_witness judged by the
+    search in the built product, which it replaces."""
+
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_random_triples(self, radius):
+        ps = lattice_ball(radius)
+        n = len(ps)
+        m = count_orientations(ps).bit_length() - 1
+        rng = random.Random(f"verify-oracle:{radius}")
+        invalid = whole = 0
+        for _ in range(40):
+            k = rng.choice((1, 2, 2, 3))
+            members = []
+            while len(members) < k:
+                o = orientation_from_bits(ps, rng.getrandbits(m))
+                if o not in members:
+                    members.append(o)
+            P = build_product(ps, members)
+            size = n * len(members)
+            x = rng.randrange(size)
+            s = x // n
+            # y at x's point in some member, or anywhere
+            y = rng.choice([t * n + x % n for t in range(len(members))] + [rng.randrange(size)])
+            fiber = range(s * n, s * n + n)
+            subsets = [
+                fiber,
+                [x],
+                [x] + rng.sample(fiber, rng.randrange(n)),
+                [x] + rng.sample(range(size), rng.randrange(size)),
+            ]
+            for subset in subsets:
+                w = WitnessSet(subset, x, y)
+                got = _oracle_agrees(P, w)
+                invalid += not got.valid
+                whole += w.subset == tuple(fiber)
+        # every kind of input came up, and both verdicts
+        assert whole >= 40 and 0 < invalid < 160
+
+    @pytest.mark.parametrize("subset,x,y", [
+        ((0, 1), 0, 7),   # one S edge, connected
+        ((1, 4), 1, 8),   # two S points sharing no pair
+        ((0, 8), 0, 7),   # one point from each fiber
+        ((0,), 0, 13),    # a singleton
     ])
-    def test_counts_pinned(self, subset, x, y, maps_checked):
+    def test_ball1_pair(self, subset, x, y):
+        ps, S, Z = _ball1_orientation_pair()
+        got = _oracle_agrees(build_product(ps, [S, Z]), WitnessSet(subset, x, y))
+        assert not got.valid
+
+    def test_x_without_unit_path(self):
+        x = lattice_point(3, 0)
+        base = lattice_ball(1).with_points([x])
+        P = build_product(base, [orientation_from_bits(base, 0),
+                                 orientation_from_bits(base, 1)])
+        xi = base.index_of(x)
+        for subset in (range(8), range(16), (xi, 0, 9)):
+            for y in (8 + xi, 8, xi - 1):
+                _oracle_agrees(P, WitnessSet(subset, xi, y))
+
+    def test_verdict_builds_no_product(self):
+        ps = lattice_ball(2)
+        S = orientation_from_bits(ps, 1)
+        Z = orientation_from_bits(ps, 2)
+        built = witness_case2(ps[3], S, Z)
+        assert verify_product_witness(built.product, built.witness).valid
+        assert "structure" not in vars(built.product)
+        built1 = witness_case1(lattice_point(1, 0), Point(QScalar(5), QScalar(0)))
+        assert verify_product_witness(built1.product, built1.witness).valid
+        assert "structure" not in vars(built1.product)
+        # the product is still there to be read, and reading it builds it
+        assert built.product.structure.n == 2 * len(ps)
+        assert "structure" in vars(built.product)
+
+    @pytest.mark.parametrize("subset,y", [
+        ((0, 14), 7), ((-1, 0), 7), ((0, 1), 14), ((0, 1), -1),
+    ])
+    def test_outside_universe_refused(self, subset, y):
+        # 14 elements: an index or a target beyond them names no element
         ps, S, Z = _ball1_orientation_pair()
         P = build_product(ps, [S, Z])
-        w = WitnessSet(subset, x, y)
-        assert is_connected_within(P.structure, subset) == (subset == (0, 1))
-        verdict = verify_product_witness(P, w, enumerate_all=True)
-        assert not verdict.valid
-        assert (verdict.fiber_consistent, verdict.maps_checked) == (True, maps_checked)
-        verdict = verify_product_witness(P, w)
-        assert (verdict.fiber_consistent, verdict.maps_checked) == (True, 1)
+        with pytest.raises(ValueError, match="out of range"):
+            verify_product_witness(P, WitnessSet(subset, 0, y))
 
 
 # the eight orientation pairs of lattice_ball(2) with no witness in their
@@ -387,10 +501,8 @@ class TestCase2:
         i0, i1, _ = ps.triangle_indices()
         for x in (ps[i0], ps[i1]):
             built = witness_case2(x, S, Z)
-            verdict = verify_product_witness(built.product, built.witness,
-                                             enumerate_all=True)
+            verdict = verify_product_witness(built.product, built.witness)
             assert verdict.valid
-            assert verdict.fiber_consistent
 
     def test_whole_fiber_fallback_reported(self):
         # the witness is the whole S fiber, and construction says so
@@ -439,8 +551,7 @@ class TestCase2:
         xi = P.base.index_of(x)
         assert (built.src, built.tgt) == (P.element(xi, 0), P.element(xi, 1))
         verdict = verify_product_witness(P, built.witness)
-        got = (verdict.valid, verdict.fiber_consistent,
-               built.conflict.ui, built.conflict.vi)
+        got = (verdict.valid, built.conflict.ui, built.conflict.vi)
         assert got == CASE2_EXPECTED[k]
 
     def test_no_witness_counterexamples_pinned(self):
@@ -463,6 +574,8 @@ class TestCase2:
         assert built.whole_fiber
         assert built.witness.subset == tuple(range(8))
         assert (built.conflict.ui, built.conflict.vi) == (0, 1)
+        # x's component in the fiber is x alone: it goes to its twin and
+        # every other element stays put
         verdict = verify_product_witness(built.product, built.witness)
-        assert (verdict.valid, verdict.fiber_consistent) == (False, True)
-        assert verdict.counterexample[built.src] == built.tgt
+        assert not verdict.valid
+        assert verdict.counterexample == {**{e: e for e in range(8)}, built.src: built.tgt}

@@ -520,9 +520,8 @@ class TestWitness:
         assert built.witness.subset == tuple(range(len(ps)))
         verdict = product.verify_product_witness(built.product, built.witness)
         assert not verdict.valid
-        assert verdict.fiber_consistent
         assert verdict.counterexample[built.src] == built.tgt
-        fibers = {built.product.fiber_of(e) for e in verdict.counterexample.values()}
+        fibers = {built.product.decode(e)[1] for e in verdict.counterexample.values()}
         assert fibers == {1}
         with pytest.raises(NoWitnessExists):
             find_min_witness(built.product.structure, built.src, built.tgt)
