@@ -259,9 +259,17 @@ def _svg_viewport(float_pts):
 
 
 def pointset_to_svg(ps: PointSet, orientation: Orientation = None) -> str:
-    """Deterministic SVG: unit edges and optional orientation arrows."""
+    """Deterministic SVG: unit edges and optional orientation arrows.
+
+    Without an orientation the edges are unit_graph(ps).  With one, they
+    are read off its pairs taken undirected, which check_phi's union clause
+    makes exactly unit_graph(ps) in the same sorted order; the orientation
+    must therefore be over ps itself, or ValueError is raised.
+    """
     if len(ps) == 0:
         raise UsageError("cannot draw an empty point set")
+    if orientation is not None and orientation.base != ps:
+        raise ValueError("orientation is over a different base than the point set")
     float_pts = [p.to_float_pair() for p in ps]
     to_screen, w, h = _svg_viewport(float_pts)
     pos = [to_screen(p) for p in float_pts]
@@ -283,13 +291,12 @@ def pointset_to_svg(ps: PointSet, orientation: Orientation = None) -> str:
             f' x2="{fmt(pos[b][0])}" y2="{fmt(pos[b][1])}" {style}/>'
         )
 
-    edges = unit_graph(ps)
     if orientation is None:
-        for i, j in edges:
+        for i, j in unit_graph(ps):
             line(i, j, 'stroke="#888888" stroke-width="1.5"')
     else:
         pair_set = orientation.pair_set
-        for i, j in edges:
+        for i, j in orientation.unit_edges():
             fwd, back = (i, j) in pair_set, (j, i) in pair_set
             if fwd and back:
                 line(i, j, 'stroke="#444444" stroke-width="3"')

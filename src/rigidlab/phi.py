@@ -13,6 +13,13 @@ orientations.  Enumeration, counting and seeded sampling agree with each
 other and with the checker by construction; `observation_verify` then
 brute-forces the fixed-triangle and unit-preservation facts for maps
 between two such orientations.
+
+`unit_graph` runs once per call of `orientation_from_bits`,
+`all_orientations` or `sample_orientations`, to list the free edges that
+every orientation of the call shares, and once in `check_phi` for each
+`Orientation` built.  Everything else reads an orientation's unit edges
+off its pairs taken undirected, which clause 1 makes exactly the unit
+graph, in the same sorted order.
 """
 
 from __future__ import annotations
@@ -69,12 +76,22 @@ class Orientation:
         """Unit edges not forced by the triangle, as sorted (i, j), i < j."""
         return _free_edges(self.base)
 
+    def unit_edges(self) -> tuple:
+        """Unit edges of the base as sorted (i, j), i < j, read off the
+        pairs: check_phi's union clause makes them exactly unit_graph(base)."""
+        return _undirected(self.pairs)
+
     def __hash__(self):
         return hash(self.pairs)
 
 
 def _norm_edge(i: int, j: int) -> tuple:
     return (i, j) if i < j else (j, i)
+
+
+def _undirected(pairs) -> tuple:
+    """The pairs as undirected edges (i, j), i < j, sorted and unique."""
+    return tuple(sorted({_norm_edge(i, j) for i, j in pairs}))
 
 
 @dataclass(frozen=True)
@@ -117,6 +134,14 @@ def _free_edges(base: PointSet) -> tuple:
     return tuple(e for e in unit_graph(base) if e not in forced)
 
 
+def _oriented_pairs(forced: tuple, free: tuple, bits: int) -> tuple:
+    # free edge k runs low to high, or the other way when bit k is set
+    pairs = list(forced)
+    for k, (i, j) in enumerate(free):
+        pairs.append((j, i) if bits >> k & 1 else (i, j))
+    return tuple(pairs)
+
+
 def orientation_from_bits(base: PointSet, bits: int) -> Orientation:
     """Orientation selected by one bit per free edge.
 
@@ -126,13 +151,7 @@ def orientation_from_bits(base: PointSet, bits: int) -> Orientation:
     free = _free_edges(base)
     if not 0 <= bits < (1 << len(free)):
         raise ValueError("bit vector out of range for the free edge count")
-    pairs = list(_forced_pairs(base))
-    for k, (i, j) in enumerate(free):
-        if bits >> k & 1:
-            pairs.append((j, i))
-        else:
-            pairs.append((i, j))
-    return Orientation(base, tuple(pairs))
+    return Orientation(base, _oriented_pairs(_forced_pairs(base), free, bits))
 
 
 def count_orientations(base: PointSet) -> int:
@@ -144,9 +163,10 @@ def count_orientations(base: PointSet) -> int:
 
 def all_orientations(base: PointSet):
     """Deterministic generator over every admissible orientation."""
-    free_count = len(_free_edges(base))
-    for bits in range(1 << free_count):
-        yield orientation_from_bits(base, bits)
+    free = _free_edges(base)
+    forced = _forced_pairs(base)
+    for bits in range(1 << len(free)):
+        yield Orientation(base, _oriented_pairs(forced, free, bits))
 
 
 def _sample_bits(seed: int, counter: int, free_edges) -> int:
@@ -166,6 +186,7 @@ def sample_orientations(base: PointSet, seed: int, k: int) -> list:
     total = 1 << len(free)
     if k > total:
         raise UsageError(f"requested {k} samples but only {total} orientations exist")
+    forced = _forced_pairs(base)
     out = []
     seen = set()
     counter = 0
@@ -179,7 +200,7 @@ def sample_orientations(base: PointSet, seed: int, k: int) -> list:
         if bits in seen:
             continue
         seen.add(bits)
-        out.append(orientation_from_bits(base, bits))
+        out.append(Orientation(base, _oriented_pairs(forced, free, bits)))
     return out
 
 
@@ -232,7 +253,14 @@ class ObservationReport:
 
 def observation_verify(X: PointSet, S: Orientation, Z: Orientation,
                        codomain: PointSet, hom_limit: int = None) -> ObservationReport:
-    """Enumerate maps <X, S|X> -> <codomain, Z|codomain> and audit them."""
+    """Enumerate maps <X, S|X> -> <codomain, Z|codomain> and audit them.
+
+    X's unit edges are read off S|X taken undirected.  S covers every unit
+    edge of its base exactly (check_phi's union clause), and whether two
+    points lie at unit distance depends on them alone, so the pairs S
+    keeps inside X are exactly X's unit edges: the edges are unit_graph(X),
+    in its sorted order, without its pairwise distance tests.
+    """
     src = S.restrict(X)
     dst = Z.restrict(codomain)
     tx = X.triangle_indices()
@@ -241,7 +269,7 @@ def observation_verify(X: PointSet, S: Orientation, Z: Orientation,
     violations = []
     tri_ok = True
     units_ok = True
-    unit_pairs = unit_graph(X)
+    unit_pairs = _undirected(src.pairs)
     for vec in result.maps:
         for corner in range(3):
             if vec[tx[corner]] != tc[corner]:

@@ -400,7 +400,8 @@ def find_min_witness(s: RelStruct, x: int, y: int, budget: int = 4096) -> MinWit
     is returned with minimal=False; this fallback may spend up to n-1
     checks beyond the budget, and checks_used counts them.
     NoWitnessExists is raised when even the full universe fails, i.e. some
-    endomorphism already sends x to y.  A budget below 1 raises ValueError.
+    endomorphism already sends x to y.  An x or y outside [0, n), x == y,
+    and a budget below 1 raise ValueError.
 
     A check is a hom search of a candidate, or a decision without one,
     and all count alike against the budget.  The candidates of size k are
@@ -437,6 +438,9 @@ def find_min_witness(s: RelStruct, x: int, y: int, budget: int = 4096) -> MinWit
     the scan's verdicts, order and check count are those of searching
     every candidate.
     """
+    for name, v in (("x", x), ("y", y)):
+        if not 0 <= v < s.n:
+            raise ValueError(f"witness element {name}={v} out of range for n={s.n}")
     if x == y:
         raise ValueError("witness search requires x != y")
     if budget < 1:

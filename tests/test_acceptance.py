@@ -12,7 +12,7 @@ certificate at epsilon 0 holds.
 
 import hashlib
 
-from rigidlab import acceptance
+from rigidlab import acceptance, export, phi, plane
 
 SEED = 7
 
@@ -29,6 +29,20 @@ def test_criterion_1_hom_oracle_equivalence():
 
 def test_criterion_2_triangle_and_unit_preservation():
     _check(acceptance.run_criterion_2(SEED), bound=60)
+
+
+def test_criterion_2_unit_graph_calls(monkeypatch):
+    # one unit graph to list the free edges for the 40 samples, and one in
+    # check_phi per sample; the audit reads its edges off the orientation.
+    # Building each sample through orientation_from_bits and auditing with
+    # unit_graph(X) made 101
+    calls = []
+    real = plane.unit_graph
+    for module in (plane, phi, export):
+        monkeypatch.setattr(module, "unit_graph",
+                            lambda ps: calls.append(1) or real(ps))
+    assert acceptance.run_criterion_2(SEED).passed
+    assert len(calls) <= 41
 
 
 def test_criterion_3_exact_certificates():

@@ -192,6 +192,31 @@ class TestSvg:
         svg = pointset_to_svg(ps, orientation_from_bits(ps, 0))
         assert "marker-end" in svg
 
+    # taken when the drawing called unit_graph for its edges; the edges
+    # now come off the orientation's pairs and must draw the same bytes
+    @pytest.mark.parametrize("bits, sha256", [
+        (0, "fe43a0c5e175a3c0c889621fcb961c6911ba8a51961bde245491f68076712de3"),
+        (1, "062fc8d348a2a77635750ee69af1707a5338dc3e7eb9fb50918771d416f511c3"),
+        (5, "e0667d437416e0538b48702b02681e75bd08f10346eee9ec1faaa7a6e89a2db5"),
+        (123456789,
+         "e28d3afe92fc60383109fea73a9bc8705975f6b804347937f0f1477dc9cae168"),
+        (388062927450,
+         "e43515f119a28cdcdfdd7bbe2124d17d64e8fc06de980ef82f5dd90f62490254"),
+        ((1 << 39) - 1,
+         "3bea86d0e43ce5f0ffe98b23bb7489880a7e8bb48e755d949b181b42e080ce60"),
+        (None, "d1284c101a24ebcfa0da823efec85a7d7b727592fbd33725f1e044a6ce4f50a0"),
+    ])
+    def test_ball2_bytes_pinned(self, bits, sha256):
+        ps = lattice_ball(2)
+        o = None if bits is None else orientation_from_bits(ps, bits)
+        svg = pointset_to_svg(ps, o).encode()
+        assert hashlib.sha256(svg).hexdigest() == sha256
+
+    def test_orientation_over_another_base_rejected(self):
+        o = orientation_from_bits(lattice_ball(2), 5)
+        with pytest.raises(ValueError, match="different base"):
+            pointset_to_svg(lattice_ball(1), o)
+
 
 def _readme_tour():
     """(command, expected exit) for each line of README's CLI tour block;
@@ -517,6 +542,16 @@ class TestCli:
                         "--out", str(tmp_path / "m.json"))
         assert code == 2
         assert load_json(str(tmp_path / "m.json"))["exists"] is False
+
+    @pytest.mark.parametrize("x, y, bad", [("5", "0", "x=5"), ("-1", "0", "x=-1"),
+                                           ("0", "7", "y=7")])
+    def test_witness_min_element_out_of_range(self, x, y, bad, tmp_path, capsys):
+        path = str(tmp_path / "c3.json")
+        save_json(relstruct_to_json(RelStruct(3, ((0, 1), (1, 2), (2, 0)))), path)
+        assert self.run("witness", "--kind", "min", "--input", path,
+                        f"--x={x}", f"--y={y}") == 4
+        err = capsys.readouterr().err
+        assert err == f"usage error: witness element {bad} out of range for n=3\n"
 
     def test_orient_count(self, tmp_path):
         out = str(tmp_path / "o.json")

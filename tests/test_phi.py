@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rigidlab import phi
 from rigidlab.errors import DuplicateMember, EmptyFamily, MissingTriangle, UsageError
+from rigidlab.numeric import is_unit
 from rigidlab.phi import (
+    ObservationReport,
     Orientation,
     OrientationFamily,
     all_orientations,
@@ -16,7 +19,63 @@ from rigidlab.phi import (
     orientation_from_bits,
     sample_orientations,
 )
-from rigidlab.plane import PointSet, base_triangle, lattice_ball, lattice_point, P0, P1
+from rigidlab.plane import (
+    PointSet, base_triangle, lattice_ball, lattice_point, unit_graph, P0, P1,
+)
+from rigidlab.relations import enumerate_homs
+
+
+def reference_sample(base, seed, k):
+    """sample_orientations as it was when each member went through
+    orientation_from_bits, which lists the free edges again."""
+    free = phi._free_edges(base)
+    total = 1 << len(free)
+    out, seen, counter = [], set(), 0
+    while len(out) < k:
+        bits = phi._sample_bits(seed, counter, free) % total
+        counter += 1
+        if bits in seen:
+            continue
+        seen.add(bits)
+        out.append(orientation_from_bits(base, bits))
+    return out
+
+
+def reference_observation(X, S, Z, codomain, hom_limit=None):
+    """observation_verify as it was when X's unit edges came from
+    unit_graph(X), one distance test per pair of points."""
+    src = S.restrict(X)
+    dst = Z.restrict(codomain)
+    tx = X.triangle_indices()
+    tc = codomain.triangle_indices()
+    result = enumerate_homs(src, dst, limit=hom_limit)
+    violations = []
+    tri_ok = True
+    units_ok = True
+    unit_pairs = unit_graph(X)
+    for vec in result.maps:
+        for corner in range(3):
+            if vec[tx[corner]] != tc[corner]:
+                tri_ok = False
+                violations.append(("triangle", vec, corner))
+        for i, j in unit_pairs:
+            if not is_unit(codomain[vec[i]], codomain[vec[j]]):
+                units_ok = False
+                violations.append(("unit", vec, (i, j)))
+    return ObservationReport(len(result.maps), tri_ok, units_ok,
+                             tuple(violations), result.truncated)
+
+
+BALL2 = lattice_ball(2)
+
+
+@st.composite
+def ball2_fragments(draw):
+    """A subset of lattice_ball(2) holding the triangle, in a drawn order."""
+    tri = list(BALL2.triangle_indices())
+    rest = [i for i in range(len(BALL2)) if i not in tri]
+    extra = draw(st.lists(st.sampled_from(rest), unique=True))
+    return BALL2.subset(draw(st.permutations(tri + extra)))
 
 
 class TestCheckPhi:
@@ -88,6 +147,26 @@ class TestEnumeration:
         assert [o.pairs for o in s1] == [o.pairs for o in s2]
         assert len({o.pairs for o in s1}) == 40
 
+    def test_all_orientations_match_bits(self):
+        ps = lattice_ball(1)
+        assert list(all_orientations(ps)) == [orientation_from_bits(ps, b)
+                                              for b in range(512)]
+
+    @pytest.mark.parametrize("radius, seed, k", [
+        (1, 7, 40), (1, 0, 1), (1, 3, 512), (0, 5, 1), (2, 1, 25), (2, 11, 3),
+    ])
+    def test_sampling_matches_reference(self, radius, seed, k):
+        ps = lattice_ball(radius, include_triangle=True)
+        assert sample_orientations(ps, seed, k) == reference_sample(ps, seed, k)
+
+    def test_unit_edges_read_off_pairs(self):
+        for radius in (0, 1, 2):
+            ps = lattice_ball(radius, include_triangle=True)
+            total = count_orientations(ps)
+            for bits in (0, total // 3, total - 1):
+                o = orientation_from_bits(ps, bits)
+                assert o.unit_edges() == unit_graph(ps)
+
     def test_sampling_respects_population(self):
         with pytest.raises(UsageError):
             sample_orientations(base_triangle(), 0, 2)
@@ -136,6 +215,22 @@ class TestObservationHarness:
         Z = orientation_from_bits(ps, b2)
         rep = observation_verify(ps, S, Z, ps)
         assert rep.violations == ()
+
+    @given(ball2_fragments(), st.one_of(st.just(BALL2), ball2_fragments()),
+           st.integers(0, (1 << 39) - 1),
+           st.one_of(st.none(), st.integers(0, (1 << 39) - 1)),
+           st.integers(1, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_unit_graph_reference(self, X, codomain, bs, bz, limit):
+        """Reading X's unit edges off S|X gives unit_graph(X), so the audit
+        equals the one that called unit_graph.  Z = S when bz is None, so
+        that many draws have maps to audit."""
+        S = orientation_from_bits(BALL2, bs)
+        Z = S if bz is None else orientation_from_bits(BALL2, bz)
+        assert phi._undirected(S.restrict(X).pairs) == unit_graph(X)
+        for hom_limit in (limit, 1):
+            assert (observation_verify(X, S, Z, codomain, hom_limit)
+                    == reference_observation(X, S, Z, codomain, hom_limit))
 
     def test_restrict_to_subset(self):
         ps = lattice_ball(1)

@@ -530,6 +530,14 @@ class TestWitness:
         with pytest.raises(ValueError):
             find_min_witness(RelStruct(2, ()), 1, 1)
 
+    @pytest.mark.parametrize("x, y, bad", [(5, 0, "x=5"), (-1, 0, "x=-1"),
+                                           (0, 7, "y=7")])
+    def test_element_out_of_range_named(self, x, y, bad):
+        c3 = RelStruct(3, ((0, 1), (1, 2), (2, 0)))
+        with pytest.raises(ValueError,
+                           match=f"^witness element {bad} out of range for n=3$"):
+            find_min_witness(c3, x, y)
+
 
 class TestMinWitnessOracle:
     """find_min_witness skips disconnected candidates unbuilt, and decides
