@@ -57,8 +57,8 @@ from .numeric import (
     sqrt_diff_within,
     sqrt_exact,
 )
-from .plane import (P0, P1, PointSet, adjacency, is_connected, unit_graph,
-                    unit_hops, unit_path)
+from .plane import P0, P1, PointSet, unit_graph, unit_hops, unit_path
+from .relations import RelStruct, component, neighbours
 
 DEFAULT_BRANCH_LIMIT = 500_000
 
@@ -113,49 +113,58 @@ class ClusterStep:
     order: PlacementOrder
 
 
-def _extend(adj, placed: list, anchors: list, allowed) -> None:
+def _bits(mask: int) -> tuple:
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return tuple(out)
+
+
+def _extend(nbrs, placed: list, anchors: list, allowed: int) -> int:
     """Two-anchor greedy: append to `placed` (and their placed unit
-    neighbors to `anchors`) every vertex of `allowed` that comes to see two
-    placed unit neighbors, the best-connected lowest index first."""
-    placed_set = set(placed)
+    neighbors to `anchors`) every vertex of the mask `allowed` that comes
+    to see two placed unit neighbors, the best-connected lowest index
+    first.  `nbrs` holds each vertex's unit-neighbor mask; the mask of
+    the placed vertices is returned."""
+    placed_mask = 0
+    for v in placed:
+        placed_mask |= 1 << v
     while True:
         best = -1
         best_count = 1
-        for v in allowed:
-            if v in placed_set:
-                continue
-            count = sum(1 for w in adj[v] if w in placed_set)
+        for v in _bits(allowed & ~placed_mask):
+            count = (nbrs[v] & placed_mask).bit_count()
             if count > best_count:
                 best, best_count = v, count
         if best < 0:
-            return
-        anchors.append(tuple(w for w in adj[best] if w in placed_set))
+            return placed_mask
+        anchors.append(_bits(nbrs[best] & placed_mask))
         placed.append(best)
-        placed_set.add(best)
+        placed_mask |= 1 << best
 
 
-def _cluster_step(adj, placed: list):
-    """First (v, ClusterStep) for a stalled greedy, or None.
+def _cluster_step(nbrs, placed: int):
+    """First (v, ClusterStep) for a greedy stalled at the placed mask, or
+    None.
 
     Each edge (u, t) with u placed and t not grows a two-anchor closure
     over u and the unplaced vertices.  v is the lowest unplaced vertex with
     a placed unit neighbor w that a closure at some u other than w reaches.
     """
-    placed_set = set(placed)
-    free = [v for v in range(len(adj)) if v not in placed_set]
+    free = ((1 << len(nbrs)) - 1) & ~placed
     closures = []
-    for u in sorted(placed_set):
-        for t in adj[u]:
-            if t not in placed_set:
-                sub, sub_anchors = [u, t], [(), ()]
-                _extend(adj, sub, sub_anchors, [u] + free)
-                closures.append((u, sub, sub_anchors))
-    for v in free:
-        for w in adj[v]:
-            if w not in placed_set:
-                continue
-            for u, sub, sub_anchors in closures:
-                if u == w or v not in sub:
+    for u in _bits(placed):
+        for t in _bits(nbrs[u] & free):
+            sub, sub_anchors = [u, t], [(), ()]
+            reach = _extend(nbrs, sub, sub_anchors, 1 << u | free)
+            closures.append((u, sub, sub_anchors, reach))
+    for v in _bits(free):
+        for w in _bits(nbrs[v] & placed):
+            for u, sub, sub_anchors, reach in closures:
+                if u == w or not reach >> v & 1:
                     continue
                 members = tuple(sorted(sub))
                 local = {m: k for k, m in enumerate(members)}
@@ -184,19 +193,21 @@ def placement_order(T: PointSet) -> PlacementOrder:
     if n == 1:
         return PlacementOrder((0,), ((),))
     edges = unit_graph(T)
-    adj = adjacency(n, edges)
-    if not is_connected(adj):
+    # unit_graph's pairs are sorted, unique and in range
+    nbrs = neighbours(RelStruct(n, edges, canonical=True))
+    full = (1 << n) - 1
+    if component(nbrs, 0, full) != full:
         raise NotAnchored("unit graph is disconnected; no placement order exists")
     for glue in (False, True):
         for i, j in edges:
             for start in ((i, j), (j, i)):
                 placed, anchors, clusters = list(start), [(), ()], [None, None]
                 while True:
-                    _extend(adj, placed, anchors, range(n))
+                    reach = _extend(nbrs, placed, anchors, full)
                     clusters += [None] * (len(placed) - len(clusters))
                     if len(placed) == n:
                         return PlacementOrder(tuple(placed), tuple(anchors), tuple(clusters))
-                    found = _cluster_step(adj, placed) if glue else None
+                    found = _cluster_step(nbrs, reach) if glue else None
                     if found is None:
                         break
                     v, step = found

@@ -73,6 +73,10 @@ _WITNESS_MODAL = {name for own in _WITNESS_FLAGS.values() for name in own}
 # orient reads --seed and --count only when sampling
 _SAMPLE_FLAGS = {"seed": 0, "count": 1}
 
+# orient --mode all holds every orientation in one document, so it
+# refuses a base with more than this many
+_ALL_LIMIT = 1 << 16
+
 # certify reads --chain-n only for the chain gadget; a chain of two or
 # more hops folds, so only the default of one hop certifies
 _CHAIN_FLAGS = {"chain_n": 1}
@@ -222,6 +226,10 @@ def _cmd_orient(args) -> int:
         _emit(dumps_canonical(_report("orient", args, body)), args)
         return EXIT_OK
     if args.mode == "all":
+        total = count_orientations(ps)
+        if total > _ALL_LIMIT:
+            raise UsageError(f"orient --mode all would list {total} orientations, more "
+                             f"than {_ALL_LIMIT}; use --mode count or --mode sample")
         members = [list(map(list, o.pairs)) for o in all_orientations(ps)]
         body = {"orientations": len(members), "pairs": members}
         _emit(dumps_canonical(_report("orient", args, body)), args)

@@ -205,19 +205,13 @@ def relstruct_to_dot(s: RelStruct, name: str = "R", labels=None) -> str:
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
     for i in range(s.n):
         lines.append(f'  v{i} [label="{labels[i] if labels else i}"];')
-    pair_set = s.pair_set
-    emitted = set()
+    pair_set = set(s.pairs)
+    # the pairs are sorted, so a two-way pair meets (i, j), i < j, first
     for i, j in s.pairs:
-        if (i, j) in emitted:
-            continue
-        if i != j and (j, i) in pair_set:
-            a, b = min(i, j), max(i, j)
-            lines.append(f"  v{a} -> v{b} [dir=both, style=bold];")
-            emitted.add((a, b))
-            emitted.add((b, a))
-        else:
+        if i == j or (j, i) not in pair_set:
             lines.append(f"  v{i} -> v{j};")
-            emitted.add((i, j))
+        elif i < j:
+            lines.append(f"  v{i} -> v{j} [dir=both, style=bold];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -295,7 +289,7 @@ def pointset_to_svg(ps: PointSet, orientation: Orientation = None) -> str:
         for i, j in unit_graph(ps):
             line(i, j, 'stroke="#888888" stroke-width="1.5"')
     else:
-        pair_set = orientation.pair_set
+        pair_set = set(orientation.pairs)
         for i, j in orientation.unit_edges():
             fwd, back = (i, j) in pair_set, (j, i) in pair_set
             if fwd and back:

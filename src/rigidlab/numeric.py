@@ -872,14 +872,15 @@ def circle_intersect(c1: Point, r1sq, c2: Point, r2sq, field=Q_SQRT3) -> tuple:
     return (pa, pb)
 
 
-_TERM_RE = re.compile(r"[+-]?[^+-]+")
+# a term runs to the next sign that does not follow an exponent's e
+_TERM_RE = re.compile(r"[+-]?(?:[eE][+-]|[^+-])+")
 
 
 def parse_scalar(token: str) -> QScalar:
     """Parse tokens like '3', '-3/2', 'r3', '1/2r3' or '3/2+1/2r3'.
 
-    'r3' denotes sqrt(3).  Decimal literals such as '1.5' are accepted and
-    read exactly as rationals.
+    'r3' denotes sqrt(3).  Decimal literals such as '1.5', '1e3' or
+    '2.5E-2' are accepted and read exactly as rationals.
     """
     s = token.replace(" ", "")
     if not s:

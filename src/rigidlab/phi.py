@@ -48,10 +48,6 @@ class Orientation:
             raise ValueError(f"not an admissible orientation: {report.violation}")
 
     @cached_property
-    def pair_set(self) -> frozenset:
-        return frozenset(self.pairs)
-
-    @cached_property
     def _relstruct(self) -> RelStruct:
         # check_phi kept every pair in range, and pairs is sorted and unique
         return RelStruct(len(self.base), self.pairs, canonical=True)

@@ -143,42 +143,6 @@ def unit_graph(ps: PointSet) -> tuple:
     return tuple(edges)
 
 
-def adjacency(n: int, edges) -> list:
-    """Sorted neighbor list of each of n vertices under the (i, j) edges."""
-    adj = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    return [sorted(x) for x in adj]
-
-
-def components(adj) -> list:
-    """Connected components of an adjacency as sorted index lists, ordered
-    by least member."""
-    n = len(adj)
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
-def is_connected(adj) -> bool:
-    return len(components(adj)) <= 1
-
-
 def hex_distance(a: int, b: int) -> int:
     """Graph distance from the origin in axial lattice coordinates."""
     return max(abs(a), abs(b), abs(a + b))

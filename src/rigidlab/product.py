@@ -38,7 +38,8 @@ from .numeric import (
 )
 from .phi import Orientation, OrientationFamily, orientation_from_bits
 from .plane import TRIANGLE, PointSet
-from .relations import RelStruct, WitnessSet, _component, _neighbours, enumerate_homs
+from .relations import (RelStruct, WitnessCheck, WitnessSet, component, enumerate_homs,
+                        neighbours)
 
 
 @dataclass(frozen=True)
@@ -261,16 +262,7 @@ def witness_case2(x: Point, S: Orientation, Z: Orientation) -> Case2Witness:
     )
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    valid: bool
-    counterexample: dict  # product element -> image, None when valid
-
-    def __bool__(self):
-        return self.valid
-
-
-def verify_product_witness(P: ProductStruct, witness: WitnessSet) -> VerifyResult:
+def verify_product_witness(P: ProductStruct, witness: WitnessSet) -> WitnessCheck:
     """Exhaustive check that no map of the witness into the product sends
     x to y while preserving the product pairs inside the witness.
 
@@ -317,10 +309,10 @@ def verify_product_witness(P: ProductStruct, witness: WitnessSet) -> VerifyResul
     for e in sub:
         if lo <= e < lo + n:
             within |= 1 << e - lo
-    component = _component(_neighbours(S), xi, within)
-    points = [i for i in range(n) if component >> i & 1]
+    piece = component(neighbours(S), xi, within)
+    points = [i for i in range(n) if piece >> i & 1]
     result = enumerate_homs(S.restrict(points), T, pin={points.index(xi): yi}, limit=1)
     if not result.maps:
-        return VerifyResult(True, None)
+        return WitnessCheck(True)
     image = {lo + i: t * n + a for i, a in zip(points, result.maps[0])}
-    return VerifyResult(False, {e: image.get(e, e) for e in sub})
+    return WitnessCheck(False, {e: image.get(e, e) for e in sub})

@@ -81,10 +81,6 @@ class RelStruct:
         object.__setattr__(self, "pairs", pr)
 
     @cached_property
-    def pair_set(self) -> frozenset:
-        return frozenset(self.pairs)
-
-    @cached_property
     def _adjacency(self) -> tuple:
         """(loop_mask, succ, pred): bit a of loop_mask is set when (a, a)
         is a pair, bit j of succ[i] and bit i of pred[j] when (i, j) is."""
@@ -321,11 +317,12 @@ def enumerate_homs(src: RelStruct, dst: RelStruct, pin=None, limit=None) -> HomS
 def brute_force_homs(src: RelStruct, dst: RelStruct, pin=None) -> tuple:
     """Independent oracle: check every one of dst.n ** src.n maps."""
     pin = dict(pin) if pin else {}
+    dst_pairs = set(dst.pairs)
     out = []
     for vec in iter_product(range(dst.n), repeat=src.n):
         if any(vec[i] != a for i, a in pin.items()):
             continue
-        if all((vec[i], vec[j]) in dst.pair_set for i, j in src.pairs):
+        if all((vec[i], vec[j]) in dst_pairs for i, j in src.pairs):
             out.append(vec)
     return tuple(out)
 
@@ -476,7 +473,7 @@ def find_min_witness(s: RelStruct, x: int, y: int, budget: int = 4096) -> MinWit
 
     if checks < budget and met((), 1 << x):
         return MinWitnessResult(WitnessSet((x,), x, y), True, checks)
-    neighbours = _neighbours(s)
+    nbrs = neighbours(s)
     others = [i for i in range(s.n) if i != x]
     above = ((1 << s.n) - 1) ^ 1 << x  # the tail of the empty prefix
     # the last candidate is the full universe, so the scan returns unless
@@ -497,13 +494,13 @@ def find_min_witness(s: RelStruct, x: int, y: int, budget: int = 4096) -> MinWit
             # component of x + prefix
             joins, left = tail, mask
             while joins and left:
-                component = _component(neighbours, (left & -left).bit_length() - 1, mask)
-                left ^= component
+                piece = component(nbrs, (left & -left).bit_length() - 1, mask)
+                left ^= piece
                 touched = 0
-                while component:
-                    low = component & -component
-                    component ^= low
-                    touched |= neighbours[low.bit_length() - 1]
+                while piece:
+                    low = piece & -piece
+                    piece ^= low
+                    touched |= nbrs[low.bit_length() - 1]
                 joins &= touched
             # candidate (prefix, c) is check number base + (tail below c) + 1
             base = checks
@@ -555,7 +552,7 @@ def _extend_counterexample(s: RelStruct, known: dict, rest, mask: int):
     return None
 
 
-def _neighbours(s: RelStruct) -> list:
+def neighbours(s: RelStruct) -> list:
     """Per element v, the mask of elements sharing a pair with v, loops
     dropped, read off the structure's cached masks."""
     _, succ, pred = s._adjacency
@@ -571,17 +568,17 @@ def is_connected_within(s: RelStruct, subset) -> bool:
     if not mask:
         return True
     start = (mask & -mask).bit_length() - 1
-    return _component(_neighbours(s), start, mask) == mask
+    return component(neighbours(s), start, mask) == mask
 
 
-def _component(neighbours, x: int, within: int) -> int:
-    """Bitmask of x's component in the graph `neighbours` induces on the
-    elements of the bitmask `within`."""
+def component(nbrs, x: int, within: int) -> int:
+    """Bitmask of x's component in the graph the neighbour masks `nbrs`
+    induce on the elements of the bitmask `within`."""
     reach = frontier = 1 << x
     while frontier:
         low = frontier & -frontier
         frontier ^= low
-        new = neighbours[low.bit_length() - 1] & within & ~reach
+        new = nbrs[low.bit_length() - 1] & within & ~reach
         reach |= new
         frontier |= new
     return reach

@@ -46,7 +46,6 @@ from rigidlab.plane import (
     P1,
     P2,
     PointSet,
-    adjacency,
     base_triangle,
     lattice_ball,
     lattice_point,
@@ -54,6 +53,7 @@ from rigidlab.plane import (
     unit_hops,
     unit_path,
 )
+from rigidlab.relations import RelStruct, component, neighbours
 
 UNIT_DIRS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 
@@ -80,6 +80,135 @@ class TestPlacementOrder:
     def test_pinned_start(self):
         order = placement_order(base_triangle())
         assert order.order[0] == 0 and order.order[1] == 1
+
+
+def _reference_adjacency(n, edges) -> list:
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return [sorted(x) for x in adj]
+
+
+def _reference_connected(adj) -> bool:
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(adj)
+
+
+def _reference_extend(adj, placed, anchors, allowed) -> None:
+    placed_set = set(placed)
+    while True:
+        best = -1
+        best_count = 1
+        for v in allowed:
+            if v in placed_set:
+                continue
+            count = sum(1 for w in adj[v] if w in placed_set)
+            if count > best_count:
+                best, best_count = v, count
+        if best < 0:
+            return
+        anchors.append(tuple(w for w in adj[best] if w in placed_set))
+        placed.append(best)
+        placed_set.add(best)
+
+
+def _reference_cluster_step(adj, placed):
+    placed_set = set(placed)
+    free = [v for v in range(len(adj)) if v not in placed_set]
+    closures = []
+    for u in sorted(placed_set):
+        for t in adj[u]:
+            if t not in placed_set:
+                sub, sub_anchors = [u, t], [(), ()]
+                _reference_extend(adj, sub, sub_anchors, [u] + free)
+                closures.append((u, sub, sub_anchors))
+    for v in free:
+        for w in adj[v]:
+            if w not in placed_set:
+                continue
+            for u, sub, sub_anchors in closures:
+                if u == w or v not in sub:
+                    continue
+                members = tuple(sorted(sub))
+                local = {m: k for k, m in enumerate(members)}
+                order = bq.PlacementOrder(
+                    tuple(local[m] for m in sub),
+                    tuple(tuple(local[a] for a in anc) for anc in sub_anchors),
+                )
+                return v, bq.ClusterStep(u, w, members, order)
+    return None
+
+
+def reference_placement_order(T):
+    """The greedy placement order over sorted neighbour lists, as the engine
+    computed it before it read neighbour bitmasks."""
+    n = len(T)
+    if n == 0:
+        raise ValueError("empty point set")
+    if n == 1:
+        return bq.PlacementOrder((0,), ((),))
+    edges = unit_graph(T)
+    adj = _reference_adjacency(n, edges)
+    if not _reference_connected(adj):
+        raise NotAnchored("unit graph is disconnected")
+    for glue in (False, True):
+        for i, j in edges:
+            for start in ((i, j), (j, i)):
+                placed, anchors, clusters = list(start), [(), ()], [None, None]
+                while True:
+                    _reference_extend(adj, placed, anchors, range(n))
+                    clusters += [None] * (len(placed) - len(clusters))
+                    if len(placed) == n:
+                        return bq.PlacementOrder(tuple(placed), tuple(anchors),
+                                                 tuple(clusters))
+                    found = _reference_cluster_step(adj, placed) if glue else None
+                    if found is None:
+                        break
+                    v, step = found
+                    anchors.append((step.w,))
+                    clusters.append(step)
+                    placed.append(v)
+    raise NotAnchored("some vertex is never anchored")
+
+
+def _assert_placement_matches_reference(ps):
+    try:
+        want = reference_placement_order(ps)
+    except (NotAnchored, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            placement_order(ps)
+        return None
+    assert placement_order(ps) == want
+    return want
+
+
+_BALL2 = lattice_ball(2)
+
+GADGET_FIGURES = {
+    "triangle-extension": lambda: gadget("triangle-extension").points,
+    "rhombus": lambda: gadget("rhombus").points,
+    **{f"chain{n}": (lambda n=n: gadget("chain", n=n).points) for n in (1, 2, 3, 5)},
+    "spindle-exact": lambda: gadget("moser-spindle", backend="exact").points,
+    "spindle-float": lambda: gadget("moser-spindle", backend="float").points,
+}
+
+placement_figures = st.one_of(
+    # subsets of lattice_ball(2) in drawn order
+    st.lists(st.integers(0, len(_BALL2) - 1), min_size=1, max_size=len(_BALL2),
+             unique=True).map(lambda idx: PointSet([_BALL2[i] for i in idx])),
+    # braced unit paths from the origin, in path order or shuffled
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
+        lambda t: _braced(unit_path(P0, lattice_point(*t)))).flatmap(
+        lambda ps: st.just(ps) | st.permutations(list(ps)).map(PointSet)),
+    st.sampled_from(sorted(GADGET_FIGURES)).map(lambda name: GADGET_FIGURES[name]()),
+)
 
 
 class TestGlueCandidates:
@@ -235,6 +364,31 @@ ORACLE_FIGURES = {
     "spindle-exact": lambda: gadget("moser-spindle", backend="exact").points,
     "spindle-float": lambda: gadget("moser-spindle", backend="float").points,
 }
+
+
+class TestPlacementReference:
+    """The bitmask placement order against the list-based greedy."""
+
+    @pytest.mark.parametrize("name", sorted(GADGET_FIGURES))
+    def test_gadgets(self, name):
+        _assert_placement_matches_reference(GADGET_FIGURES[name]())
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_FIGURES))
+    def test_oracle_figures(self, name):
+        assert _assert_placement_matches_reference(ORACLE_FIGURES[name]()) is not None
+
+    def test_spindle_braced_ball(self, spindle_braced_ball1):
+        want = _assert_placement_matches_reference(spindle_braced_ball1)
+        assert want is not None
+
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
+    def test_lattice_balls(self, radius):
+        assert _assert_placement_matches_reference(lattice_ball(radius)) is not None
+
+    @given(placement_figures)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, ps):
+        _assert_placement_matches_reference(ps)
 
 
 class TestReferenceEnumerator:
@@ -425,10 +579,9 @@ class TestGadgets:
         g = gadget("moser-spindle")
         assert len(g.points) == 7
         assert len(unit_graph(g.points)) == 11
-        degrees = sorted(
-            len(nbrs) for nbrs in adjacency(7, unit_graph(g.points))
-        )
-        assert degrees[0] >= 3
+        nbrs = neighbours(RelStruct(7, unit_graph(g.points)))
+        assert min(m.bit_count() for m in nbrs) >= 3
+        assert component(nbrs, 0, 0b1111111) == 0b1111111
 
     def test_float_spindle_rounds_the_exact_one(self):
         exact = gadget("moser-spindle", backend="exact").points
@@ -454,14 +607,16 @@ class TestGadgets:
         edge is a two-anchor order, so the engine's order glues exactly one
         rigid cluster."""
         ps = gadget("moser-spindle").points
-        adj = adjacency(len(ps), unit_graph(ps))
+        nbrs = neighbours(RelStruct(len(ps), unit_graph(ps)))
         for perm in itertools.permutations(range(len(ps))):
-            if perm[1] not in adj[perm[0]]:
+            if not nbrs[perm[0]] >> perm[1] & 1:
                 continue
-            assert any(
-                sum(1 for w in adj[v] if w in perm[:k]) < 2
-                for k, v in enumerate(perm) if k >= 2
-            )
+            placed = 1 << perm[0] | 1 << perm[1]
+            short = False
+            for v in perm[2:]:
+                short = short or (nbrs[v] & placed).bit_count() < 2
+                placed |= 1 << v
+            assert short
         order = placement_order(ps)
         assert sum(step is not None for step in order.clusters) == 1
 

@@ -176,6 +176,21 @@ class TestDot:
         named = relstruct_to_dot(RelStruct(3, ((0, 1),)), labels=["a", "b", "c"])
         assert 'v2 [label="c"]' in named
 
+    def test_relstruct_loops_and_two_way_pinned(self):
+        # loops stay single arcs; a two-way pair is one bold arc from its
+        # lower end, at the place of that end's pair
+        s = RelStruct(4, ((0, 0), (0, 1), (1, 0), (1, 2), (2, 2), (3, 1),
+                          (2, 3), (3, 2), (3, 3)))
+        assert relstruct_to_dot(s, name="L", labels=["a", "b", "c", "d"]) == (
+            'digraph L {\n  rankdir=LR;\n  v0 [label="a"];\n  v1 [label="b"];\n'
+            '  v2 [label="c"];\n  v3 [label="d"];\n  v0 -> v0;\n'
+            '  v0 -> v1 [dir=both, style=bold];\n  v1 -> v2;\n  v2 -> v2;\n'
+            '  v2 -> v3 [dir=both, style=bold];\n  v3 -> v1;\n  v3 -> v3;\n}\n')
+        assert relstruct_to_dot(RelStruct(3, ((2, 0), (0, 2), (1, 1), (2, 1)))) == (
+            'digraph R {\n  rankdir=LR;\n  v0 [label="0"];\n  v1 [label="1"];\n'
+            '  v2 [label="2"];\n  v0 -> v2 [dir=both, style=bold];\n  v1 -> v1;\n'
+            '  v2 -> v1;\n}\n')
+
     def test_unitgraph_undirected(self):
         dot = unitgraph_to_dot(base_triangle())
         assert dot.count(" -- ") == 3
@@ -380,6 +395,32 @@ class TestCli:
     def test_certify_bytes_pinned(self, argv, code, sha256, capsys):
         assert self.run(*argv.split()) == code
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+    def test_certify_epsilon_with_exponent(self, capsys):
+        # 1e-3 parses as 1/1000, below the rhombus's sqrt(3) deviation
+        assert self.run(*"certify --gadget rhombus --x A --y D --epsilon 1e-3".split()) == 2
+        assert json.loads(capsys.readouterr().out)["certified"] is False
+
+    @pytest.mark.parametrize("radius,sha256", [
+        (0, "24c2493230c5da345dea7f5bb4e8663ca470693b0aa5c4787bc563a8516513ff"),
+        (1, "115842600fce0b6498ad2a37e00d4017cd6c353e31ac278fd20806cd8739abfc"),
+    ])
+    def test_orient_all_bytes_pinned(self, radius, sha256, capsys):
+        assert self.run("orient", "--radius", str(radius), "--mode", "all") == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+    def test_orient_all_refuses_before_enumerating(self, capsys, monkeypatch):
+        # lattice_ball(2) has 2**39 orientations; the refusal must come from
+        # the count alone
+        def never(ps):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr("rigidlab.cli.all_orientations", never)
+        assert self.run(*"orient --radius 2 --mode all".split()) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ")
+        assert "--mode count" in captured.err and "--mode sample" in captured.err
 
     def test_certify_chain_defaults_to_one_hop(self, capsys):
         # a chain of two or more hops folds; the default is the one that pins

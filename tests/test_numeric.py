@@ -306,6 +306,11 @@ class TestParseFormat:
         ("2-r3", QScalar(2, -1)),
         ("1.5", QScalar(Fraction(3, 2))),
         ("0", QScalar(0)),
+        ("1e3", QScalar(1000)),
+        ("1e-3", QScalar(Fraction(1, 1000))),
+        ("2.5E-2", QScalar(Fraction(1, 40))),
+        ("1e-3+r3", QScalar(Fraction(1, 1000), 1)),
+        ("-1e-3r3+2E+1", QScalar(20, Fraction(-1, 1000))),
     ])
     def test_parse(self, text, expect):
         assert parse_scalar(text) == expect
@@ -315,7 +320,7 @@ class TestParseFormat:
         assert parse_scalar(format_scalar(u)) == u
 
     def test_garbage(self):
-        for bad in ("", "x", "1+r2", "1//2", "r3r3"):
+        for bad in ("", "x", "1+r2", "1//2", "r3r3", "1e", "e-3", "1e+r3"):
             with pytest.raises(UsageError):
                 parse_scalar(bad)
 

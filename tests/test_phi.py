@@ -133,10 +133,10 @@ class TestEnumeration:
         free = orientation_from_bits(ps, 0).free_edges()
         assert len(free) == 9
         for bits in (0, 1, 137, 511):
-            o = orientation_from_bits(ps, bits)
+            pairs = set(orientation_from_bits(ps, bits).pairs)
             got = 0
             for k, (i, j) in enumerate(free):
-                if (j, i) in o.pair_set:
+                if (j, i) in pairs:
                     got |= 1 << k
             assert got == bits
 

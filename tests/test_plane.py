@@ -12,16 +12,14 @@ from rigidlab.plane import (
     P2,
     TRIANGLE,
     PointSet,
-    adjacency,
     base_triangle,
-    components,
-    is_connected,
     lattice_ball,
     lattice_coords,
     lattice_point,
     unit_graph,
     unit_path,
 )
+from rigidlab.relations import RelStruct, component, neighbours
 
 lattice_pts = st.builds(lattice_point, st.integers(-5, 5), st.integers(-5, 5))
 
@@ -107,15 +105,15 @@ class TestUnitGraph:
     def test_triangle_edges(self):
         edges = unit_graph(base_triangle())
         assert edges == ((0, 1), (0, 2), (1, 2))
-        assert adjacency(3, edges)[0] == [1, 2]
+        assert neighbours(RelStruct(3, edges))[0] == 0b110
 
     def test_components(self):
         ps = PointSet([P0, P1, lattice_point(5, 0), lattice_point(6, 0)])
-        adj = adjacency(len(ps), unit_graph(ps))
-        comps = components(adj)
-        assert comps == [[0, 1], [2, 3]]
-        assert not is_connected(adj)
-        assert is_connected(adjacency(3, unit_graph(base_triangle())))
+        nbrs = neighbours(RelStruct(len(ps), unit_graph(ps)))
+        assert component(nbrs, 0, 0b1111) == 0b0011
+        assert component(nbrs, 3, 0b1111) == 0b1100
+        triangle = neighbours(RelStruct(3, unit_graph(base_triangle())))
+        assert component(triangle, 0, 0b111) == 0b111
 
 
 class TestUnitPath:

@@ -23,9 +23,7 @@ from rigidlab.plane import (
     P2,
     TRIANGLE,
     PointSet,
-    adjacency,
     base_triangle,
-    is_connected,
     lattice_ball,
     lattice_point,
     unit_graph,
@@ -39,7 +37,7 @@ from rigidlab.product import (
     witness_case1,
     witness_case2,
 )
-from rigidlab.relations import WitnessSet, check_witness, is_connected_within
+from rigidlab.relations import RelStruct, WitnessSet, check_witness, is_connected_within
 
 lattice_pts = st.builds(lattice_point, st.integers(-6, 6), st.integers(-6, 6))
 
@@ -141,8 +139,8 @@ class TestConflictEdge:
         ce = find_conflict_edge(S, Z)
         assert ce is not None
         assert (ce.ui, ce.vi) != (ce.vi, ce.ui)
-        assert (ce.ui, ce.vi) in S.pair_set
-        assert (ce.vi, ce.ui) in Z.pair_set
+        assert (ce.ui, ce.vi) in set(S.pairs)
+        assert (ce.vi, ce.ui) in set(Z.pairs)
 
     def test_none_when_identical(self):
         ps = lattice_ball(1)
@@ -158,7 +156,7 @@ class TestConflictEdge:
     def _oracle(S, Z):
         """The conflict edge found by walking the unit graph of the base,
         which find_conflict_edge reads off the pairs of S instead."""
-        sp, zp = S.pair_set, Z.pair_set
+        sp, zp = set(S.pairs), set(Z.pairs)
         for i, j in unit_graph(S.base):
             s_ij, s_ji = (i, j) in sp, (j, i) in sp
             z_ij, z_ji = (i, j) in zp, (j, i) in zp
@@ -189,7 +187,7 @@ class TestConflictEdge:
     def _pair_difference(S, Z):
         """The conflict edge as the least (min, max) of S's pairs missing
         from Z, which find_conflict_edge reads off the masks instead."""
-        first = min(((min(i, j), max(i, j), i, j) for i, j in S.pair_set - Z.pair_set),
+        first = min(((min(i, j), max(i, j), i, j) for i, j in set(S.pairs) - set(Z.pairs)),
                     default=None)
         return None if first is None else ConflictEdge(S.base[first[2]], S.base[first[3]],
                                                        *first[2:])
@@ -305,7 +303,7 @@ class TestCase1:
         built = witness_case1(x, y)
         T = built.grow.points
         assert x in T
-        assert is_connected(adjacency(len(T), unit_graph(T)))
+        assert is_connected_within(RelStruct(len(T), unit_graph(T)), range(len(T)))
         P = built.product
         points = tuple(P.base[P.decode(e)[0]] for e in built.witness.subset)
         assert points == PointSet(list(TRIANGLE) + list(T)).points
@@ -363,9 +361,10 @@ def _replays(P, w, image) -> bool:
     carries every product pair inside the subset onto a product pair."""
     s = P.structure
     inside = set(w.subset)
+    pairs = set(s.pairs)
     return (set(image) == inside and image[w.x] == w.y
             and all(0 <= v < s.n for v in image.values())
-            and all((image[a], image[b]) in s.pair_set
+            and all((image[a], image[b]) in pairs
                     for a, b in s.pairs if a in inside and b in inside))
 
 
