@@ -73,8 +73,8 @@ _WITNESS_MODAL = {name for own in _WITNESS_FLAGS.values() for name in own}
 # orient reads --seed and --count only when sampling
 _SAMPLE_FLAGS = {"seed": 0, "count": 1}
 
-# orient --mode all holds every orientation in one document, so it
-# refuses a base with more than this many
+# orient holds every orientation it lists in one document, so --mode all
+# refuses a base with more than this many, and --mode sample a larger --count
 _ALL_LIMIT = 1 << 16
 
 # certify reads --chain-n only for the chain gadget; a chain of two or
@@ -234,6 +234,9 @@ def _cmd_orient(args) -> int:
         body = {"orientations": len(members), "pairs": members}
         _emit(dumps_canonical(_report("orient", args, body)), args)
         return EXIT_OK
+    if args.count > _ALL_LIMIT:
+        raise UsageError(f"orient --mode sample --count {args.count} asks for more than "
+                         f"{_ALL_LIMIT} orientations")
     sampled = sample_orientations(ps, args.seed, args.count)
     if args.format == "dot":
         _emit("".join(orientation_to_dot(o, f"S{k}")

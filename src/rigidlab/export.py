@@ -256,9 +256,11 @@ def pointset_to_svg(ps: PointSet, orientation: Orientation = None) -> str:
     """Deterministic SVG: unit edges and optional orientation arrows.
 
     Without an orientation the edges are unit_graph(ps).  With one, they
-    are read off its pairs taken undirected, which check_phi's union clause
-    makes exactly unit_graph(ps) in the same sorted order; the orientation
-    must therefore be over ps itself, or ValueError is raised.
+    are read off its pairs taken undirected, which the union clause makes
+    exactly unit_graph(ps) in the same sorted order: every Orientation is
+    admissible, checked when built from given pairs and by construction
+    otherwise.  The orientation must therefore be over ps itself, or
+    ValueError is raised.
     """
     if len(ps) == 0:
         raise UsageError("cannot draw an empty point set")

@@ -36,7 +36,7 @@ from .numeric import (
     points_equal,
     sqrt_diff_within,
 )
-from .phi import Orientation, OrientationFamily, orientation_from_bits
+from .phi import Orientation, OrientationFamily, all_orientations
 from .plane import TRIANGLE, PointSet
 from .relations import (RelStruct, WitnessCheck, WitnessSet, component, enumerate_homs,
                         neighbours)
@@ -98,15 +98,15 @@ def find_conflict_edge(S: Orientation, Z: Orientation) -> ConflictEdge:
     directions; the doubled triangle pairs can never conflict.
 
     The edges are read off S itself, with no distance computed: every
-    Orientation passed check_phi when it was built.  Its union clause
-    says that S and Z each direct every unit edge of the base at least
-    one way, and its doubled clause that both double the same two
-    triangle edges and no other.  A pair (i, j) of S missing from Z is
-    thus directed j -> i alone by Z, and i -> j alone by S, since S
-    doubles no edge Z leaves single: the pairs of S minus those of Z are
-    exactly the conflict edges, each directed as S directs it.  The least
-    (min(i, j), max(i, j)) among them comes first in the order of
-    unit_graph(S.base).
+    Orientation is admissible, checked when built from given pairs and by
+    construction otherwise.  The union clause says that S and Z each
+    direct every unit edge of the base at least one way, and the doubled
+    clause that both double the same two triangle edges and no other.
+    A pair (i, j) of S missing from Z is thus directed j -> i alone by Z,
+    and i -> j alone by S, since S doubles no edge Z leaves single: the
+    pairs of S minus those of Z are exactly the conflict edges, each
+    directed as S directs it.  The least (min(i, j), max(i, j)) among them
+    comes first in the order of unit_graph(S.base).
 
     Those pairs are read off the members' masks: the pairs of S minus Z
     leaving i are succ_S[i] & ~succ_Z[i], and those entering i
@@ -198,7 +198,9 @@ def witness_case1(x: Point, y: Point, epsilon=None,
     witness_points = PointSet(list(TRIANGLE) + list(grow.points))
     universe = witness_points.with_points([y])
 
-    S = orientation_from_bits(universe, 0)
+    # bits 0, every free edge low to high: the first orientation listed,
+    # admissible by construction, so unit_graph(universe) runs once
+    S = next(all_orientations(universe))
     P = build_product(universe, OrientationFamily(universe, (S,)))
     elements = tuple(sorted(
         P.element(universe.index_of(p), 0) for p in witness_points

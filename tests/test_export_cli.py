@@ -422,6 +422,24 @@ class TestCli:
         assert captured.err.startswith("usage error: ")
         assert "--mode count" in captured.err and "--mode sample" in captured.err
 
+    def test_orient_sample_refuses_above_cap(self, capsys, monkeypatch):
+        # the cap of --mode all bounds --count too, before any sampling
+        sampled = []
+
+        def record(ps, seed, k):
+            sampled.append(k)
+            raise ValueError("sampled")
+
+        monkeypatch.setattr("rigidlab.cli.sample_orientations", record)
+        assert self.run(*"orient --radius 2 --mode sample --count 70000".split()) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ") and "65536" in captured.err
+        assert sampled == []
+        assert self.run(*"orient --radius 2 --mode sample --count 65536".split()) == 4
+        assert capsys.readouterr().err == "usage error: sampled\n"
+        assert sampled == [65536]
+
     def test_certify_chain_defaults_to_one_hop(self, capsys):
         # a chain of two or more hops folds; the default is the one that pins
         argv = "certify --gadget chain --x A --y B --epsilon 0".split()

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidlab import phi
+from rigidlab import bq, export, phi, plane
+from rigidlab.acceptance import _case1_pairs
+from rigidlab.cli import main
 from rigidlab.errors import DuplicateMember, EmptyFamily, MissingTriangle, UsageError
 from rigidlab.numeric import is_unit
 from rigidlab.phi import (
@@ -22,6 +24,7 @@ from rigidlab.phi import (
 from rigidlab.plane import (
     PointSet, base_triangle, lattice_ball, lattice_point, unit_graph, P0, P1,
 )
+from rigidlab.product import witness_case1
 from rigidlab.relations import enumerate_homs
 
 
@@ -175,6 +178,140 @@ class TestEnumeration:
     def test_sampling_needs_a_member(self, k):
         with pytest.raises(ValueError):
             sample_orientations(lattice_ball(1), 0, k)
+
+
+def assert_as_checked(o):
+    """o, built without check_phi, passes it and is what the checked
+    constructor builds from its pairs: same pairs, hash and masks."""
+    assert check_phi(o.base, o.pairs).ok
+    checked = Orientation(o.base, o.pairs)
+    assert checked == o
+    assert type(o.pairs) is tuple and checked.pairs == o.pairs
+    assert hash(checked) == hash(o)
+    assert checked.relstruct()._adjacency == o.relstruct()._adjacency
+    assert checked.relstruct()._masks == o.relstruct()._masks
+
+
+# each radius with its forced pairs and free edges, listed once
+ADMISSIBLE_BASES = {
+    r: (ps, phi._forced_pairs(ps), phi._free_edges(ps))
+    for r, ps in ((1, lattice_ball(1)), (2, BALL2))
+}
+
+
+class TestAdmissibleByConstruction:
+    """Orientations built through phi._admissible skip check_phi; each
+    must be one the checked constructor accepts and builds alike."""
+
+    def test_every_orientation_of_ball1(self):
+        members = list(all_orientations(lattice_ball(1)))
+        assert len(members) == 512
+        for o in members:
+            assert_as_checked(o)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_sample_of_ball2(self, seed):
+        for o in sample_orientations(BALL2, seed, 12):
+            assert_as_checked(o)
+
+    # criterion 5's ten pairs, then the irrational-gap probe sqrt(7) - 1
+    @pytest.mark.parametrize("x, y", _case1_pairs(7) + [
+        (lattice_point(1, 0), lattice_point(2, 1)),
+    ])
+    def test_case1_member(self, x, y):
+        (S,) = witness_case1(x, y).product.family.members
+        assert_as_checked(S)
+        assert S == orientation_from_bits(S.base, 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(ADMISSIBLE_BASES)), st.integers(min_value=0))
+    def test_random_bits(self, radius, bits):
+        ps, forced, free = ADMISSIBLE_BASES[radius]
+        bits %= 1 << len(free)
+        o = phi._admissible(ps, forced, free, bits)
+        assert_as_checked(o)
+        assert o == orientation_from_bits(ps, bits)
+
+
+class TestCheckedConstructorRefuses:
+    """Orientation(base, pairs) still runs check_phi on given pairs."""
+
+    @staticmethod
+    def tampered(how):
+        ps = lattice_ball(1)
+        t0, t1, t2 = ps.triangle_indices()
+        pairs = set(orientation_from_bits(ps, 137).pairs)
+        i, j = next(p for p in sorted(pairs) if t0 not in p and {t1, t2} != set(p))
+        if how == "reversed":
+            pairs = pairs - {(t1, t2)} | {(t2, t1)}
+        elif how == "missing":
+            pairs.discard((i, j))
+        else:
+            pairs.add((j, i))
+        return ps, tuple(sorted(pairs))
+
+    @pytest.mark.parametrize("how, clause", [
+        ("reversed", "forced edge"), ("missing", "union"), ("doubled", "doubled"),
+    ])
+    def test_constructor(self, how, clause):
+        ps, pairs = self.tampered(how)
+        with pytest.raises(ValueError, match=clause):
+            Orientation(ps, pairs)
+
+    @pytest.mark.parametrize("how", ["reversed", "missing", "doubled"])
+    def test_document(self, how, tmp_path, capsys):
+        ps, pairs = self.tampered(how)
+        doc = export.orientation_to_json(orientation_from_bits(ps, 137))
+        doc["pairs"] = [list(p) for p in pairs]
+        with pytest.raises(ValueError, match="not an admissible orientation"):
+            export.orientation_from_json(doc)
+        # no subcommand reads an orientation document: one given as a
+        # point set is refused by its schema, a usage error
+        path = tmp_path / "tampered.json"
+        export.save_json(doc, str(path))
+        assert main(["orient", "--input", str(path)]) == 4
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+
+@pytest.fixture
+def unit_graph_calls(monkeypatch):
+    """Sizes of the point sets unit_graph is called on, through every
+    module that binds it."""
+    calls = []
+    original = plane.unit_graph
+
+    def counted(ps):
+        calls.append(len(ps))
+        return original(ps)
+
+    for module in (plane, phi, bq, export):
+        monkeypatch.setattr(module, "unit_graph", counted)
+    return calls
+
+
+class TestUnitGraphCalls:
+    """Building by construction lists the free edges once per call and
+    never re-checks: a check_phi per member would add a call each."""
+
+    def test_sample(self, unit_graph_calls):
+        sample_orientations(lattice_ball(1), 7, 40)
+        assert unit_graph_calls == [7]
+
+    def test_all(self, unit_graph_calls):
+        assert len(list(all_orientations(lattice_ball(1)))) == 512
+        assert unit_graph_calls == [7]
+
+    def test_case1(self, unit_graph_calls):
+        # placement_order's on the grown set, then the universe's
+        built = witness_case1(lattice_point(1, 0), lattice_point(2, 1))
+        assert unit_graph_calls == [len(built.grow.points), len(built.product.base)]
+
+    def test_checked_paths_still_check(self, unit_graph_calls):
+        ps = lattice_ball(1)
+        o = orientation_from_bits(ps, 5)
+        assert unit_graph_calls == [7, 7]
+        Orientation(ps, o.pairs)
+        assert unit_graph_calls == [7, 7, 7]
 
 
 class TestFamily:
