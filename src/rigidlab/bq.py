@@ -22,13 +22,16 @@ Sets that admit neither (long chains, or figures whose clusters never
 pin a vertex) are refused via NotAnchored rather than under-enumerated:
 a certificate from a partial enumeration would be unsound.
 
-One enumeration keeps a site table (_SiteTable): every image position
-gets a number, exact positions interned by value, and the circle
-intersection of two anchor images, the unit test of a candidate against
-an anchor image and the distinct-anchor test are each computed once per
-pair of sites; an exact intersection once per difference of the two
-anchor images.  A braced figure meets few positions many times over, so
-the search repeats these decisions at many nodes but pays for each once.
+The exact enumerations in one field share one site table (_SiteTable),
+kept for the life of the process: every image position gets a number,
+exact positions interned by value, and the circle intersection of two
+anchor images, the unit test of a candidate against an anchor image and
+the distinct-anchor test are each computed once per pair of sites; an
+exact intersection once per difference of the two anchor images.  A
+braced figure meets few positions many times over, and every enumeration
+places its images in the same frame, so the search repeats these
+decisions at many nodes and across many enumerations but pays for each
+once.  A float enumeration keeps a table of its own.
 """
 
 from __future__ import annotations
@@ -243,14 +246,15 @@ def _origin_pair(backend: str, tol: float):
 
 
 class _SiteTable:
-    """The image positions of one enumeration, one numbered site each.
+    """Numbered image positions and the arithmetic the search repeats on
+    them.
 
     Exact points are interned by value, so every placement at one position
     shares a site; FloatVal has no hash, so on the float backend every
-    computed point is a site of its own.  The arithmetic the search repeats
-    is memoized per pair of sites: a site number stays valid for the whole
-    enumeration, while the id() of a candidate dropped on backtrack may be
-    handed to a new point.
+    computed point is a site of its own.  The arithmetic is memoized per
+    pair of sites: a site number stays valid for the table's life, while
+    the id() of a candidate dropped on backtrack may be handed to a new
+    point.
 
     On the exact backend two unit circles meet at offsets from the first
     centre that depend only on the difference d of the centres, so the
@@ -259,10 +263,36 @@ class _SiteTable:
     their order and any NotRepresentable are those of a direct intersection.
     Exact intersection points lie on both circles, so their unit tests
     against the two centres are recorded as true without computing them.
+
+    An exact table serves every enumeration in its field for the life of
+    the process (_exact_table); a float table serves one enumeration.
+    Sharing is sound:
+
+    - Every enumeration fixes one frame: its first edge runs (0,0)-(1,0),
+      and, the mirror quotiented out, its first off-axis image lies above
+      the axis.  So the enumerations of a field place their images in one
+      coordinate system, and positions recur across them.
+    - Everything the table memoizes depends only on exact positions and
+      the field: a site's number, by value; its y sign and float pair, by
+      its point; the sites on the unit circles about two sites, by their
+      points and the field (the offsets, by their difference and the
+      field); a unit test and the distinct-anchor test, by two points.
+      Nothing is keyed by an enumeration's order, radii or branch limit;
+      the candidates of a cluster step read its radii, so _enumerate
+      keeps them.
+    - An entry is stored only once its value is computed, so a
+      NotRepresentable leaves the table as it was, and a later call
+      raises it again.
+
+    So a warm table answers every query as a fresh one would: the same
+    candidates in the same order and the same NotRepresentable, hence the
+    same maps, nodes, pruned and truncated.  The final sort reads the
+    float pairs of the maps' sites only, so it orders them alike.
     """
 
     def __init__(self, exact: bool, field):
         self.points = []
+        self.floats = []  # float pair of each site's point
         self.y_sign = []  # sign of a candidate site's y coordinate, else None
         self._index = {} if exact else None
         self._field = field
@@ -270,7 +300,6 @@ class _SiteTable:
         self._meets = {}
         self._units = {}
         self._same = {}
-        self._glued = {}
 
     def site(self, p: Point) -> int:
         """Site number of p: an equal exact point's, or a new one."""
@@ -278,15 +307,19 @@ class _SiteTable:
             s = self._index.get(p)
             if s is not None:
                 return s
-            self._index[p] = len(self.points)
+        s = len(self.points)
+        fp = p.to_float_pair()
         self.points.append(p)
+        self.floats.append(fp)
         self.y_sign.append(None)
-        return len(self.points) - 1
+        if self._index is not None:
+            self._index[p] = s
+        return s
 
     def sites_of(self, pts) -> tuple:
         return tuple(self.site(p) for p in pts)
 
-    def _candidates(self, pts) -> tuple:
+    def candidates(self, pts) -> tuple:
         """Sites of candidate points, each with its y sign computed once."""
         out = self.sites_of(pts)
         for s in out:
@@ -315,26 +348,16 @@ class _SiteTable:
         if got is None:
             c, e = self.points[s], self.points[t]
             if self._offsets is None:
-                got = self._candidates(circle_intersect(c, 1, e, 1, self._field))
+                got = self.candidates(circle_intersect(c, 1, e, 1, self._field))
             else:
                 d = Point(e.x - c.x, e.y - c.y)
                 offsets = self._offsets.get(d)
                 if offsets is None:
                     offsets = self._offsets[d] = circle_intersect(P0, 1, d, 1, self._field)
-                got = self._candidates([Point(c.x + o.x, c.y + o.y) for o in offsets])
+                got = self.candidates([Point(c.x + o.x, c.y + o.y) for o in offsets])
                 for cand in got:
                     self._units[cand, s] = self._units[cand, t] = True
             self._meets[key] = got
-        return got
-
-    def glued(self, k: int, u: int, w: int, radii) -> tuple:
-        """Candidate sites of the cluster step at order position k, glued
-        at sites u and w."""
-        key = (k, u, w)
-        got = self._glued.get(key)
-        if got is None:
-            got = self._glued[key] = self._candidates(
-                _glue_candidates(self.points[u], self.points[w], radii, self._field))
         return got
 
     def anchor_pair(self, sites):
@@ -344,6 +367,21 @@ class _SiteTable:
                 if not self.same(sites[i], sites[j]):
                     return sites[i], sites[j]
         return None
+
+
+# an enumeration that finds its field's table past this many sites starts
+# a fresh one, so a long-lived process holds a bounded table per field
+_SITE_LIMIT = 1 << 16
+_TABLES = {}  # field -> the exact _SiteTable its enumerations share
+
+
+def _exact_table(field) -> _SiteTable:
+    """The site table shared by the exact enumerations in `field`.  The
+    tables take no lock: the package enumerates on one thread."""
+    table = _TABLES.get(field)
+    if table is None or len(table.points) > _SITE_LIMIT:
+        table = _TABLES[field] = _SiteTable(True, field)
+    return table
 
 
 def enumerate_unit_maps(T: PointSet, order: PlacementOrder = None,
@@ -356,14 +394,20 @@ def enumerate_unit_maps(T: PointSet, order: PlacementOrder = None,
     with prune_anchors=False only the two intersection anchors constrain a
     placement; the naive oracle uses both relaxations together with full
     leaf revalidation.  The nodes and prunes of cluster sub-figures count
-    toward the result's totals and its branch limit.
+    toward the result's totals and its branch limit; a limit below 0
+    raises ValueError (a limit of 0 still enumerates a unit edge, which
+    needs no node).
 
     `nodes` and `pruned` count search nodes, not arithmetic: intersections
-    and unit tests come from the enumeration's site table, computed at most
-    once per pair of image positions (an exact intersection once per
-    difference of the two), so a node that meets a known pair costs no
-    field operation.  Maps share the Point object of each position.
+    and unit tests come from a site table, computed at most once per pair
+    of image positions (an exact intersection once per difference of the
+    two), so a node that meets a known pair costs no field operation.  An
+    exact enumeration shares its field's table with every earlier one in
+    the process, so a position met before costs none either.  Maps share
+    the Point object of each position, across enumerations too.
     """
+    if branch_limit is not None and branch_limit < 0:
+        raise ValueError(f"branch limit must be at least 0, got {branch_limit}")
     if order is None:
         order = placement_order(T)
     field = _field_of(T) if T.backend == "exact" else None
@@ -436,7 +480,8 @@ def _enumerate(T, order, branch_limit, normalize_mirror, prune_anchors, field):
         iv = step.members.index(order.order[k])
         radii[k] = _distinct(dist2(m[iu], m[iv]) for m in sub.maps)
 
-    sites = _SiteTable(backend == "exact", field)
+    sites = _exact_table(field) if backend == "exact" else _SiteTable(False, None)
+    glued = {}  # (k, u, w) -> candidate sites; they read this enumeration's radii
     o0, o1 = order.order[0], order.order[1]
     images[o0], images[o1] = sites.sites_of(_origin_pair(backend, tol))
 
@@ -457,7 +502,11 @@ def _enumerate(T, order, branch_limit, normalize_mirror, prune_anchors, field):
                 )
             candidates = sites.meet(*pair)
         else:
-            candidates = sites.glued(k, images[step.u], images[step.w], radii[k])
+            u, w = images[step.u], images[step.w]
+            candidates = glued.get((k, u, w))
+            if candidates is None:
+                candidates = glued[k, u, w] = sites.candidates(_glue_candidates(
+                    sites.points[u], sites.points[w], radii[k], field))
         if not candidates:
             stats["pruned"] += 1
             return
@@ -482,8 +531,7 @@ def _enumerate(T, order, branch_limit, normalize_mirror, prune_anchors, field):
 
     place(2, False)
     # lexicographic by the images' float coordinates; the sort is stable
-    points = sites.points
-    floats = [p.to_float_pair() for p in points]
+    points, floats = sites.points, sites.floats
     maps.sort(key=lambda m: tuple(floats[s] for s in m))
     return UnitMapResult(tuple(tuple(points[s] for s in m) for m in maps),
                          stats["nodes"], stats["pruned"], stats["truncated"])
@@ -525,16 +573,19 @@ def bq_certify(T: PointSet, x, y, epsilon,
     by at most epsilon.
 
     T and epsilon are exact; a float epsilon raises MixedBackend at once,
-    a float T once its maps are compared.  A T whose maps leave the field
-    generated by sqrt(3) and its coordinates raises NotRepresentable, and
-    a truncated enumeration raises BudgetExhausted: certifying from a
-    partial map list would be unsound.
+    a float T once its maps are compared, and a negative epsilon or branch
+    limit raises ValueError before any enumeration.  A T whose maps leave
+    the field generated by sqrt(3) and its coordinates raises
+    NotRepresentable, and a truncated enumeration raises BudgetExhausted:
+    certifying from a partial map list would be unsound.
     """
     xi = _locate(T, x)
     yi = _locate(T, y)
     eps = QScalar._coerce(epsilon)
     if eps is None:
         raise TypeError(f"epsilon must be a scalar, got {epsilon!r}")
+    if scalar_sign(eps) < 0:
+        raise ValueError(f"epsilon must be at least 0, got {eps}")
     b2 = dist2(T[xi], T[yi])
     result = enumerate_unit_maps(T, branch_limit=branch_limit)
     if result.truncated:

@@ -3,6 +3,7 @@
 import cmath
 import hashlib
 import itertools
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -344,14 +345,29 @@ def _ladder(y, k):
     return _braced(unit_hops(P0, y, k, k))
 
 
-def _assert_matches_reference(ps, branch_limit=DEFAULT_BRANCH_LIMIT):
-    res = enumerate_unit_maps(ps, branch_limit=branch_limit)
+def _assert_matches_reference(ps, branch_limit=DEFAULT_BRANCH_LIMIT, runs=1):
+    """Enumerate ps `runs` times in a row, each run against one reference
+    enumeration; the last result is returned."""
     maps, nodes, pruned, truncated = reference_unit_maps(ps, branch_limit=branch_limit)
-    assert (res.nodes, res.pruned, res.truncated) == (nodes, pruned, truncated)
-    assert [list(m) for m in res.maps] == [list(m) for m in maps]
-    assert ([[p.to_float_pair() for p in m] for m in res.maps]
-            == [[p.to_float_pair() for p in m] for m in maps])
+    for _ in range(runs):
+        res = enumerate_unit_maps(ps, branch_limit=branch_limit)
+        assert (res.nodes, res.pruned, res.truncated) == (nodes, pruned, truncated)
+        assert [list(m) for m in res.maps] == [list(m) for m in maps]
+        assert ([[p.to_float_pair() for p in m] for m in res.maps]
+                == [[p.to_float_pair() for p in m] for m in maps])
     return res
+
+
+@contextmanager
+def emptied_tables():
+    """The exact enumerations inside start from no shared site table; the
+    tables of the session are put back afterwards."""
+    saved = bq._TABLES
+    bq._TABLES = {}
+    try:
+        yield bq._TABLES
+    finally:
+        bq._TABLES = saved
 
 
 ORACLE_FIGURES = {
@@ -416,9 +432,10 @@ class TestReferenceEnumerator:
 
     @pytest.mark.parametrize("y,k,calls", [((4, 0), 4, (6, 23)), ((0, -5), 5, (6, 48))])
     def test_ladder_work_pinned(self, y, k, calls, monkeypatch):
-        # one intersection per difference of two anchor images, and no unit
-        # test of a candidate against the centres it was met from; a second
-        # enumeration pays the same, so no table outlives its enumeration
+        # from an emptied table, one intersection per difference of two
+        # anchor images, and no unit test of a candidate against the centres
+        # it was met from; a second enumeration finds every position in the
+        # field's shared table and pays nothing
         count = {}
 
         def counted(fn):
@@ -430,15 +447,96 @@ class TestReferenceEnumerator:
         monkeypatch.setattr(bq, "circle_intersect", counted(circle_intersect))
         monkeypatch.setattr(bq, "is_unit", counted(is_unit))
         T = _ladder(lattice_point(*y), k)
-        for _ in range(2):
-            count.clear()
-            enumerate_unit_maps(T)
-            assert (count["circle_intersect"], count["is_unit"]) == calls
+        with emptied_tables():
+            for want in (calls, (0, 0)):
+                count.clear()
+                enumerate_unit_maps(T)
+                assert (count.get("circle_intersect", 0), count.get("is_unit", 0)) == want
 
     def test_distinct_drops_every_repeat(self):
         # 1 + 10**-30 has the float of 1, so the two 1s need not sort side by side
         tiny = QScalar(1 + Fraction(1, 10**30))
         assert _distinct([QScalar(1), tiny, QScalar(1)]) == [QScalar(1), tiny]
+
+
+def _shifted(ps, dx) -> PointSet:
+    """ps translated by dx along the x axis: the same maps, in the field of
+    ps and dx."""
+    return PointSet([Point(p.x + dx, p.y) for p in ps])
+
+
+class TestSharedSiteTable:
+    """The exact enumerations in one field share one site table for the
+    life of the process.  Each check runs first on an emptied table, then
+    on the warm one, against the reference enumerator."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_FIGURES))
+    def test_warm_table_matches_reference(self, name):
+        # the exact spindle's cluster step enumerates its sub-figure in the
+        # spindle's field, so from the same table
+        ps = ORACLE_FIGURES[name]()
+        with emptied_tables() as tables:
+            _assert_matches_reference(ps, runs=2)
+            # float positions have no hash: their tables are never shared
+            assert len(tables) == (ps.backend == "exact")
+
+    @given(st.sampled_from(["ladder3(1, 0)", "braced(2, 1)", "ball1", "spindle-exact"]),
+           st.integers(0, 200))
+    @settings(max_examples=30, deadline=None)
+    def test_truncation_on_warm_table(self, name, limit):
+        ps = ORACLE_FIGURES[name]()
+        with emptied_tables():
+            res = _assert_matches_reference(ps, branch_limit=limit, runs=2)
+            assert res.truncated == (limit < enumerate_unit_maps(ps).nodes)
+
+    def test_not_representable_leaves_table(self, spindle_braced_ball1):
+        # the spindle's side vertices have y = +-sqrt(33)/12: one field
+        field = bq._field_of(spindle_braced_ball1)
+        spindle = ORACLE_FIGURES["spindle-exact"]()
+        assert bq._field_of(spindle) == field == (3, 11, 33)
+        with emptied_tables() as tables:
+            sizes = []
+            for _ in range(2):
+                with pytest.raises(NotRepresentable):
+                    enumerate_unit_maps(spindle_braced_ball1)
+                t = tables[field]
+                sizes.append((len(t.points), len(t._meets), len(t._offsets), len(t._units)))
+            assert sizes[0] == sizes[1]
+            res = _assert_matches_reference(spindle, runs=2)
+        assert len(res.maps) == 4
+
+    def test_table_past_the_bound_is_replaced(self, monkeypatch):
+        ps = ORACLE_FIGURES["ladder3(1, 0)"]()
+        with emptied_tables() as tables:
+            _assert_matches_reference(ps)
+            first = tables[(3,)]
+            # a table holding exactly the bound is kept
+            monkeypatch.setattr(bq, "_SITE_LIMIT", len(first.points))
+            _assert_matches_reference(ps)
+            assert tables[(3,)] is first
+            monkeypatch.setattr(bq, "_SITE_LIMIT", len(first.points) - 1)
+            _assert_matches_reference(ps)
+            assert tables[(3,)] is not first
+            assert len(tables[(3,)].points) == len(first.points)
+
+    def test_fields_never_share_a_site(self):
+        figures = {
+            (3,): gadget("rhombus").points,
+            (3, 11): _shifted(gadget("rhombus").points, QScalar(ext=((11, 1),))),
+            (3, 11, 33): gadget("moser-spindle").points,
+        }
+        with emptied_tables() as tables:
+            images = {}
+            for field, ps in figures.items():
+                assert bq._field_of(ps) == field
+                res = enumerate_unit_maps(ps)
+                images[field] = {id(p) for m in res.maps for p in m}
+            assert set(tables) == set(figures)
+            sites = {field: {id(p) for p in t.points} for field, t in tables.items()}
+            for f, g in itertools.combinations(figures, 2):
+                assert not sites[f] & sites[g]
+            for field in figures:
+                assert images[field] <= sites[field]
 
 
 class TestEnumeration:
@@ -454,6 +552,20 @@ class TestEnumeration:
     def test_branch_limit(self):
         res = enumerate_unit_maps(lattice_ball(1), branch_limit=2)
         assert res.truncated
+
+    def test_negative_branch_limit_refused(self, monkeypatch):
+        def refuse(T):
+            raise AssertionError("a refused limit computes no placement order")
+
+        monkeypatch.setattr(bq, "placement_order", refuse)
+        with pytest.raises(ValueError, match="branch limit"):
+            enumerate_unit_maps(lattice_ball(1), branch_limit=-1)
+
+    def test_zero_branch_limit_places_an_edge(self):
+        # a unit edge needs no node
+        res = enumerate_unit_maps(PointSet([P0, P1]), branch_limit=0)
+        assert (len(res.maps), res.nodes, res.truncated) == (1, 0, False)
+        assert enumerate_unit_maps(base_triangle(), branch_limit=0).truncated
 
     @pytest.mark.parametrize("kind,kwargs", [
         ("triangle-extension", {}),
@@ -523,6 +635,15 @@ class TestCertify:
             bq_certify(g.points, g.points[0], g.points[3], QScalar(1),
                        branch_limit=1)
         assert exc_info.value.partial is not None
+
+    def test_negative_epsilon_refused(self):
+        g = gadget("rhombus")
+        for eps in (QScalar(-1), -1, Fraction(-1, 10**9)):
+            with pytest.raises(ValueError, match="epsilon"):
+                bq_certify(g.points, 0, 3, eps)
+        # the sign is read after coercion, so a float is still refused first
+        with pytest.raises(MixedBackend):
+            bq_certify(g.points, 0, 3, -1.0)
 
     def test_point_arguments_by_index(self):
         g = gadget("rhombus")
@@ -684,3 +805,9 @@ class TestGrowWitness:
     def test_same_point_rejected(self):
         with pytest.raises(ValueError):
             grow_witness(P0, P0, QScalar(1))
+
+    @pytest.mark.parametrize("y", [(1, 0), (2, 0)])
+    def test_negative_budget_refused(self, y):
+        # the edge strategy needs no node, and still refuses the limit
+        with pytest.raises(ValueError, match="branch limit"):
+            grow_witness(P0, lattice_point(*y), QScalar(1), budget=-1)

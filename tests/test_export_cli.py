@@ -301,6 +301,13 @@ class TestCli:
         "witness --kind case2 --radius 1 --s-bits 0 --z-bits 99999 --x 0,0",
         "certify --gadget chain --chain-n 0 --x A --y B --epsilon 1",
         "witness --kind case1 --x 0,0 --y 0,0",
+        # refused before any search: not a spent budget (3) nor a
+        # counterexample (2)
+        "witness --kind case1 --x 1,0 --y 5,0 --branch-limit -1",
+        "witness --kind case1 --x 2,0 --y 6,0 --branch-limit -1",
+        "certify --gadget rhombus --x A --y D --epsilon 1 --branch-limit -1",
+        "witness --kind case1 --x 2,0 --y 6,0 --epsilon -1",
+        "certify --gadget rhombus --x A --y D --epsilon -1",
     ])
     def test_rejected_arguments_exit_usage(self, argv, capsys):
         assert self.run(*argv.split()) == 4
