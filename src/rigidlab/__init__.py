@@ -21,9 +21,7 @@ from .errors import (
     UsageError,
 )
 from .numeric import (
-    DEFAULT_TOL,
     SQRT3,
-    FloatVal,
     Point,
     QScalar,
     circle_intersect,
@@ -94,7 +92,7 @@ __all__ = [
     "InconsistentDistances", "MissingTriangle", "MixedBackend",
     "NegativeRadicand", "NotAnchored", "NotRepresentable", "NoWitnessExists",
     "RigidlabError", "UsageError",
-    "DEFAULT_TOL", "SQRT3", "FloatVal", "Point", "QScalar",
+    "SQRT3", "Point", "QScalar",
     "circle_intersect", "dist2", "is_unit", "parse_scalar", "points_equal",
     "sqrt_exact",
     "P0", "P1", "P2", "TRIANGLE", "PointSet", "base_triangle", "lattice_ball",

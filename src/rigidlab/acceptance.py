@@ -37,7 +37,7 @@ from .export import (
     product_to_json,
     write_text_atomic,
 )
-from .numeric import SQRT3, Point, QScalar, dist2, points_equal
+from .numeric import SQRT3, Point, QScalar, dist2, point_to_float, points_equal
 from .phi import (
     Orientation,
     OrientationFamily,
@@ -163,7 +163,7 @@ def run_criterion_4(seed: int = 7) -> CriterionResult:
             gadget("rhombus"),
             gadget("chain", n=1),
             gadget("chain", n=5),
-            gadget("moser-spindle", backend="float"),
+            gadget("moser-spindle"),
         ]
         matched, refused, bad = 0, 0, []
         for g in cases:
@@ -245,7 +245,7 @@ def _ball1_orientation_pair():
     ps = lattice_ball(1)
     i0, i1, i2 = ps.triangle_indices()
     ring = [i for i in range(len(ps)) if i != i0]
-    ring.sort(key=lambda i: math.atan2(*reversed(ps[i].to_float_pair())))
+    ring.sort(key=lambda i: math.atan2(*reversed(point_to_float(ps[i]))))
     # rotate so the ring walk starts at p1; consecutive entries are unit
     # neighbors on the hexagon
     start = ring.index(i1)

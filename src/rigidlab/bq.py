@@ -15,23 +15,22 @@ the manner of a DR-plan (Hoffmann, Lomonosov & Sitharam, JSC 2001): a
 vertex with a single placed unit neighbor w is placed at a distance from
 another placed vertex u that a sub-figure, enumerated on its own, admits
 only finitely many values of (see ClusterStep).  The Moser spindle needs
-one such step.  On the exact backend every map is computed in the field
-generated by sqrt(3) and the radicands of the set's own coordinates.
+one such step.  Every map is computed exactly, in the field generated by
+sqrt(3) and the radicands of the set's own coordinates.
 
 Sets that admit neither (long chains, or figures whose clusters never
 pin a vertex) are refused via NotAnchored rather than under-enumerated:
 a certificate from a partial enumeration would be unsound.
 
-The exact enumerations in one field share one site table (_SiteTable),
-kept for the life of the process: every image position gets a number,
-exact positions interned by value, and the circle intersection of two
-anchor images, the unit test of a candidate against an anchor image and
-the distinct-anchor test are each computed once per pair of sites; an
-exact intersection once per difference of the two anchor images.  A
-braced figure meets few positions many times over, and every enumeration
-places its images in the same frame, so the search repeats these
-decisions at many nodes and across many enumerations but pays for each
-once.  A float enumeration keeps a table of its own.
+The enumerations in one field share one site table (_SiteTable), kept
+for the life of the process: every image position gets a number,
+positions interned by value, and the unit test of a candidate against an
+anchor image and the distinct-anchor test are each computed once per
+pair of sites, the circle intersection of two anchor images once per
+difference of the two.  A braced figure meets few positions many times
+over, and every enumeration places its images in the same frame, so the
+search repeats these decisions at many nodes and across many
+enumerations but pays for each once.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from .errors import (
     NotRepresentable,
 )
 from .numeric import (
-    DEFAULT_TOL,
     SQRT3,
     Point,
     QScalar,
@@ -239,42 +237,35 @@ class UnitMapResult:
         return iter(self.maps)
 
 
-def _origin_pair(backend: str, tol: float):
-    if backend == "exact":
-        return (Point(QScalar(0), QScalar(0)), Point(QScalar(1), QScalar(0)))
-    return (Point.approx(0.0, 0.0, tol), Point.approx(1.0, 0.0, tol))
-
-
 class _SiteTable:
     """Numbered image positions and the arithmetic the search repeats on
     them.
 
-    Exact points are interned by value, so every placement at one position
-    shares a site; FloatVal has no hash, so on the float backend every
-    computed point is a site of its own.  The arithmetic is memoized per
-    pair of sites: a site number stays valid for the table's life, while
-    the id() of a candidate dropped on backtrack may be handed to a new
-    point.
+    Points are interned by value, so every placement at one position
+    shares a site.  The arithmetic is memoized per pair of sites: a site
+    number stays valid for the table's life, while the id() of a
+    candidate dropped on backtrack may be handed to a new point.  Sites 0
+    and 1 are the frame's first edge, (0,0)-(1,0) (`origin`), as Points of
+    the table's own.
 
-    On the exact backend two unit circles meet at offsets from the first
-    centre that depend only on the difference d of the centres, so the
-    intersection is computed once per d, about the origin, and translated.
-    Translation is exact and keeps the lexicographic order, so the points,
-    their order and any NotRepresentable are those of a direct intersection.
-    Exact intersection points lie on both circles, so their unit tests
-    against the two centres are recorded as true without computing them.
+    Two unit circles meet at offsets from the first centre that depend
+    only on the difference d of the centres, so the intersection is
+    computed once per d, about the origin, and translated.  Translation is
+    exact and keeps the lexicographic order, so the points, their order and
+    any NotRepresentable are those of a direct intersection.  Intersection
+    points lie on both circles, so their unit tests against the two
+    centres are recorded as true without computing them.
 
-    An exact table serves every enumeration in its field for the life of
-    the process (_exact_table); a float table serves one enumeration.
-    Sharing is sound:
+    A table serves every enumeration in its field for the life of the
+    process (_site_table).  Sharing is sound:
 
     - Every enumeration fixes one frame: its first edge runs (0,0)-(1,0),
       and, the mirror quotiented out, its first off-axis image lies above
       the axis.  So the enumerations of a field place their images in one
       coordinate system, and positions recur across them.
-    - Everything the table memoizes depends only on exact positions and
-      the field: a site's number, by value; its y sign and float pair, by
-      its point; the sites on the unit circles about two sites, by their
+    - Everything the table memoizes depends only on positions and the
+      field: a site's number, by value; its y sign and float pair, by its
+      point; the sites on the unit circles about two sites, by their
       points and the field (the offsets, by their difference and the
       field); a unit test and the distinct-anchor test, by two points.
       Nothing is keyed by an enumeration's order, radii or branch limit;
@@ -290,29 +281,27 @@ class _SiteTable:
     float pairs of the maps' sites only, so it orders them alike.
     """
 
-    def __init__(self, exact: bool, field):
+    def __init__(self, field):
         self.points = []
-        self.floats = []  # float pair of each site's point
+        self.floats = []  # float pair of each site's point, a sort key
         self.y_sign = []  # sign of a candidate site's y coordinate, else None
-        self._index = {} if exact else None
+        self._index = {}
         self._field = field
-        self._offsets = {} if exact else None
+        self._offsets = {}
         self._meets = {}
         self._units = {}
         self._same = {}
+        self.origin = self.sites_of((Point(0, 0), Point(1, 0)))
 
     def site(self, p: Point) -> int:
-        """Site number of p: an equal exact point's, or a new one."""
-        if self._index is not None:
-            s = self._index.get(p)
-            if s is not None:
-                return s
-        s = len(self.points)
-        fp = p.to_float_pair()
-        self.points.append(p)
-        self.floats.append(fp)
-        self.y_sign.append(None)
-        if self._index is not None:
+        """Site number of p: an equal point's, or a new one."""
+        s = self._index.get(p)
+        if s is None:
+            s = len(self.points)
+            fp = point_to_float(p)
+            self.points.append(p)
+            self.floats.append(fp)
+            self.y_sign.append(None)
             self._index[p] = s
         return s
 
@@ -347,16 +336,13 @@ class _SiteTable:
         got = self._meets.get(key)
         if got is None:
             c, e = self.points[s], self.points[t]
-            if self._offsets is None:
-                got = self.candidates(circle_intersect(c, 1, e, 1, self._field))
-            else:
-                d = Point(e.x - c.x, e.y - c.y)
-                offsets = self._offsets.get(d)
-                if offsets is None:
-                    offsets = self._offsets[d] = circle_intersect(P0, 1, d, 1, self._field)
-                got = self.candidates([Point(c.x + o.x, c.y + o.y) for o in offsets])
-                for cand in got:
-                    self._units[cand, s] = self._units[cand, t] = True
+            d = Point(e.x - c.x, e.y - c.y)
+            offsets = self._offsets.get(d)
+            if offsets is None:
+                offsets = self._offsets[d] = circle_intersect(P0, 1, d, 1, self._field)
+            got = self.candidates([Point(c.x + o.x, c.y + o.y) for o in offsets])
+            for cand in got:
+                self._units[cand, s] = self._units[cand, t] = True
             self._meets[key] = got
         return got
 
@@ -372,15 +358,15 @@ class _SiteTable:
 # an enumeration that finds its field's table past this many sites starts
 # a fresh one, so a long-lived process holds a bounded table per field
 _SITE_LIMIT = 1 << 16
-_TABLES = {}  # field -> the exact _SiteTable its enumerations share
+_TABLES = {}  # field -> the _SiteTable its enumerations share
 
 
-def _exact_table(field) -> _SiteTable:
-    """The site table shared by the exact enumerations in `field`.  The
-    tables take no lock: the package enumerates on one thread."""
+def _site_table(field) -> _SiteTable:
+    """The site table shared by the enumerations in `field`.  The tables
+    take no lock: the package enumerates on one thread."""
     table = _TABLES.get(field)
     if table is None or len(table.points) > _SITE_LIMIT:
-        table = _TABLES[field] = _SiteTable(True, field)
+        table = _TABLES[field] = _SiteTable(field)
     return table
 
 
@@ -400,18 +386,21 @@ def enumerate_unit_maps(T: PointSet, order: PlacementOrder = None,
 
     `nodes` and `pruned` count search nodes, not arithmetic: intersections
     and unit tests come from a site table, computed at most once per pair
-    of image positions (an exact intersection once per difference of the
-    two), so a node that meets a known pair costs no field operation.  An
-    exact enumeration shares its field's table with every earlier one in
-    the process, so a position met before costs none either.  Maps share
-    the Point object of each position, across enumerations too.
+    of image positions (an intersection once per difference of the two),
+    so a node that meets a known pair costs no field operation.  An
+    enumeration shares its field's table with every earlier one in the
+    process, so a position met before costs none either.  Maps share the
+    Point object of each position, across enumerations too.
     """
-    if branch_limit is not None and branch_limit < 0:
-        raise ValueError(f"branch limit must be at least 0, got {branch_limit}")
+    _check_branch_limit(branch_limit)
     if order is None:
         order = placement_order(T)
-    field = _field_of(T) if T.backend == "exact" else None
-    return _enumerate(T, order, branch_limit, normalize_mirror, prune_anchors, field)
+    return _enumerate(T, order, branch_limit, normalize_mirror, prune_anchors, _field_of(T))
+
+
+def _check_branch_limit(branch_limit) -> None:
+    if branch_limit is not None and branch_limit < 0:
+        raise ValueError(f"branch limit must be at least 0, got {branch_limit}")
 
 
 def _field_of(T: PointSet) -> tuple:
@@ -423,7 +412,7 @@ def _field_of(T: PointSet) -> tuple:
 
 
 def _distinct(values) -> list:
-    """Values in ascending order without repeats (tolerance-aware on floats).
+    """Values in ascending order without repeats.
 
     Each value is compared with every kept one: distinct exact values may
     share a float, so equal values need not sort next to each other.
@@ -456,15 +445,12 @@ def _glue_candidates(cu: Point, cw: Point, radii, field) -> list:
 
 def _enumerate(T, order, branch_limit, normalize_mirror, prune_anchors, field):
     n = len(T)
-    backend = T.backend
-    tol = T[0].x.tol if backend == "float" and n else DEFAULT_TOL
     images = [None] * n
     maps = []
     stats = {"nodes": 0, "pruned": 0, "truncated": False}
 
     if n == 1:
-        first = _origin_pair(backend, tol)[0]
-        return UnitMapResult(((first,),), 1, 0, False)
+        return UnitMapResult(((Point(0, 0),),), 1, 0, False)
 
     radii = {}
     for k, step in enumerate(order.clusters):
@@ -480,10 +466,10 @@ def _enumerate(T, order, branch_limit, normalize_mirror, prune_anchors, field):
         iv = step.members.index(order.order[k])
         radii[k] = _distinct(dist2(m[iu], m[iv]) for m in sub.maps)
 
-    sites = _exact_table(field) if backend == "exact" else _SiteTable(False, None)
+    sites = _site_table(field)
     glued = {}  # (k, u, w) -> candidate sites; they read this enumeration's radii
     o0, o1 = order.order[0], order.order[1]
-    images[o0], images[o1] = sites.sites_of(_origin_pair(backend, tol))
+    images[o0], images[o1] = sites.origin
 
     def place(k: int, off_axis_fixed: bool):
         if stats["truncated"]:
@@ -567,25 +553,31 @@ def _locate(T: PointSet, p) -> int:
     return i
 
 
+def _epsilon(epsilon) -> QScalar:
+    """epsilon as a QScalar, refused unless it is an exact scalar >= 0."""
+    eps = QScalar._coerce(epsilon)
+    if eps is None:
+        raise TypeError(f"epsilon must be a scalar, got {epsilon!r}")
+    if eps.sign() < 0:
+        raise ValueError(f"epsilon must be at least 0, got {eps}")
+    return eps
+
+
 def bq_certify(T: PointSet, x, y, epsilon,
                branch_limit: int = DEFAULT_BRANCH_LIMIT) -> CertReport:
     """Certify that every unit-preserving map of T moves the x-y distance
     by at most epsilon.
 
-    T and epsilon are exact; a float epsilon raises MixedBackend at once,
-    a float T once its maps are compared, and a negative epsilon or branch
-    limit raises ValueError before any enumeration.  A T whose maps leave
-    the field generated by sqrt(3) and its coordinates raises
-    NotRepresentable, and a truncated enumeration raises BudgetExhausted:
-    certifying from a partial map list would be unsound.
+    A float epsilon raises MixedBackend, any other non-scalar TypeError,
+    and a negative epsilon or branch limit ValueError, each before any
+    enumeration.  A T whose maps leave the field generated by sqrt(3) and
+    its coordinates raises NotRepresentable, and a truncated enumeration
+    raises BudgetExhausted: certifying from a partial map list would be
+    unsound.
     """
     xi = _locate(T, x)
     yi = _locate(T, y)
-    eps = QScalar._coerce(epsilon)
-    if eps is None:
-        raise TypeError(f"epsilon must be a scalar, got {epsilon!r}")
-    if scalar_sign(eps) < 0:
-        raise ValueError(f"epsilon must be at least 0, got {eps}")
+    eps = _epsilon(epsilon)
     b2 = dist2(T[xi], T[yi])
     result = enumerate_unit_maps(T, branch_limit=branch_limit)
     if result.truncated:
@@ -630,7 +622,8 @@ def naive_unit_maps(T: PointSet, order: PlacementOrder = None,
     Returns the set of canonical map keys; the normalized engine must
     produce exactly the same set (criterion: completeness of enumeration).
     A cluster step is shared with the engine, radii and candidates alike,
-    so for glued figures the oracle checks pruning and mirroring only.
+    so for glued figures the oracle checks pruning and mirroring only.  It
+    decides is_unit itself, never through the engine's site table.
     """
     if order is None:
         order = placement_order(T)
@@ -639,9 +632,20 @@ def naive_unit_maps(T: PointSet, order: PlacementOrder = None,
     if raw.truncated:
         raise BudgetExhausted("naive enumeration exceeded its branch limit", partial=raw)
     edges = unit_graph(T)
+    # maps share the Point of each position, so one decision per pair of
+    # image objects; raw.maps keeps every one alive, so no id() is reused
+    seen = {}
+
+    def unit(p: Point, q: Point) -> bool:
+        key = (id(p), id(q))
+        got = seen.get(key)
+        if got is None:
+            got = seen[key] = is_unit(p, q)
+        return got
+
     out = set()
     for images in raw.maps:
-        if all(is_unit(images[i], images[j]) for i, j in edges):
+        if all(unit(images[i], images[j]) for i, j in edges):
             out.add(canonical_map_key(images))
     return out
 
@@ -660,7 +664,7 @@ def _mirror_point(p: Point) -> Point:
 def _rounded_key(images) -> tuple:
     out = []
     for p in images:
-        fx, fy = p.to_float_pair()
+        fx, fy = point_to_float(p)
         out.append((round(fx, 7) + 0.0, round(fy, 7) + 0.0))
     return tuple(out)
 
@@ -710,14 +714,13 @@ def gadget_chain(n: int) -> Gadget:
 _SPINDLE_LABELS = ("A", "B", "C", "D", "E", "F", "G")
 
 
-def gadget_moser_spindle(backend: str = "exact") -> Gadget:
+def gadget_moser_spindle() -> Gadget:
     """The 7-point, 11-edge spindle: two rhombi hinged at A with the far
     apexes D and G at unit distance.
 
     The hinge rotation has cosine 5/6 and sine sqrt(11)/6, so with A at
     the origin D = (sqrt(11)/2, -1/2) and G = (sqrt(11)/2, 1/2).  The
-    coordinates lie in Q(sqrt(3), sqrt(11)); backend="float" rounds them
-    through point_to_float.
+    coordinates lie in Q(sqrt(3), sqrt(11)).
     """
     dx = QScalar(ext=((11, Fraction(1, 2)),))
     pts = [P0]
@@ -727,8 +730,6 @@ def gadget_moser_spindle(backend: str = "exact") -> Gadget:
         px, py = -dy * SQRT3 / 6, dx * SQRT3 / 6
         mx, my = dx / 2, dy / 2
         pts += [Point(mx + px, my + py), Point(mx - px, my - py), Point(dx, dy)]
-    if backend == "float":
-        pts = [point_to_float(p) for p in pts]
     return Gadget("moser-spindle", PointSet(pts), _SPINDLE_LABELS)
 
 
@@ -809,9 +810,13 @@ def grow_witness(x: Point, y: Point, epsilon, budget: int = DEFAULT_BRANCH_LIMIT
     of the least achieved deviation, genuinely the frontier of this
     library, not a search artifact.  If no strategy yields a report at
     all, re-raises the refusal of the last one tried (NotAnchored, say).
+    epsilon and budget are refused as bq_certify refuses them, once and
+    before any strategy builds a set.
     """
     if points_equal(x, y):
         raise ValueError("witness growth requires x != y")
+    _epsilon(epsilon)
+    _check_branch_limit(budget)
     best = None
     refusal = None
     for name, build in _strategies(x, y):

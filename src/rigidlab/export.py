@@ -14,7 +14,7 @@ import tempfile
 from fractions import Fraction
 
 from .errors import UsageError
-from .numeric import Point, QScalar
+from .numeric import Point, QScalar, point_to_float
 from .phi import Orientation
 from .plane import PointSet, unit_graph
 from .product import ProductStruct
@@ -194,7 +194,7 @@ def load_json(path: str):
 
 
 def _point_label(p) -> str:
-    x, y = p.to_float_pair()
+    x, y = point_to_float(p)
     return f"({x:.3g},{y:.3g})"
 
 
@@ -266,7 +266,7 @@ def pointset_to_svg(ps: PointSet, orientation: Orientation = None) -> str:
         raise UsageError("cannot draw an empty point set")
     if orientation is not None and orientation.base != ps:
         raise ValueError("orientation is over a different base than the point set")
-    float_pts = [p.to_float_pair() for p in ps]
+    float_pts = [point_to_float(p) for p in ps]
     to_screen, w, h = _svg_viewport(float_pts)
     pos = [to_screen(p) for p in float_pts]
 

@@ -1,26 +1,18 @@
-"""Scalar kernels and the plane primitives every other module builds on.
+"""Exact scalars and the plane primitives every other module builds on.
 
-Two numeric backends coexist and never mix silently:
+``QScalar`` is the one number type: exact real numbers a + b*sqrt(3) +
+sum of c_d*sqrt(d) over square-free integers d, with rational
+coefficients, i.e. elements of a multiquadratic field Q(sqrt(3), sqrt(d1),
+...).  Arithmetic, comparisons and (within a given field, by default
+Q(sqrt(3))) square roots are exact, and an exact computation that leaves
+its field raises NotRepresentable.  Plain ``int`` and ``Fraction`` values
+coerce to it; a Python float raises MixedBackend wherever an exact scalar
+is expected, instead of degrading precision.
 
-* ``QScalar``: exact real numbers a + b*sqrt(3) + sum of c_d*sqrt(d) over
-  square-free integers d, with rational coefficients, i.e. elements of a
-  multiquadratic field Q(sqrt(3), sqrt(d1), ...).  Arithmetic, comparisons
-  and (within a given field, by default Q(sqrt(3))) square roots are exact.
-  Every input the CLI and the file formats accept is exact, and an exact
-  computation that leaves its field raises NotRepresentable.
-* ``FloatVal``: a double paired with an absolute tolerance ``tol``.
-  Comparisons are tolerance-aware; arithmetic keeps the larger tolerance,
-  which does not grow as errors do, so a float verdict proves nothing.
-  Exact values become floats only through an explicit ``point_to_float``.
-  Float points reach only the plane primitives and placement enumeration
-  (``bq.placement_order``, ``enumerate_unit_maps``, ``naive_unit_maps``);
-  the other entry points take exact scalars and refuse floats.  The one
-  float output left is a report length whose root leaves its field
-  (``sqrt_value``, ``deviation_value``).
-
-Plain ``int`` and ``Fraction`` values are backend-neutral constants and
-combine with either side.  Combining a QScalar with a float or FloatVal
-raises MixedBackend instead of degrading precision.
+Every decision is exact.  Floats serve only drawing, sort keys and
+reports: ``QScalar.to_float``, ``point_to_float`` (the one way out of a
+point) and a report length whose root leaves its field (``sqrt_value``,
+``deviation_value``).
 """
 
 from __future__ import annotations
@@ -38,8 +30,6 @@ from .errors import (
     NotRepresentable,
     UsageError,
 )
-
-DEFAULT_TOL = 1e-9
 
 # A field is named by the radicands whose square roots generate it.
 Q_SQRT3 = (3,)
@@ -171,7 +161,7 @@ class QScalar:
             return other
         if isinstance(other, _EXACT_COERCIBLE):
             return QScalar(other)
-        if isinstance(other, (FloatVal, float)):
+        if isinstance(other, float):
             raise MixedBackend("cannot mix exact and float scalars")
         return None
 
@@ -490,8 +480,6 @@ def sqrt_exact(u, field=Q_SQRT3) -> QScalar:
     NotRepresentable when the root exists in the reals but not in the
     field; the caller names a larger field or refuses, never rounds.
     """
-    if isinstance(u, (FloatVal, float)):
-        raise MixedBackend("sqrt_exact is exact-backend only")
     if not isinstance(u, QScalar):
         u = QScalar(u)
     sg = u.sign()
@@ -508,147 +496,8 @@ def sqrt_exact(u, field=Q_SQRT3) -> QScalar:
     return s
 
 
-class FloatVal:
-    """Double-precision value with an absolute comparison tolerance.
-
-    Two FloatVals are equal when their values differ by at most the larger
-    of the two tolerances; orderings are strict beyond that band.  The type
-    is deliberately unhashable: tolerance equality is not transitive, so
-    hashing would be unsound.
-    """
-
-    __slots__ = ("value", "tol")
-
-    def __init__(self, value, tol=DEFAULT_TOL):
-        self.value = float(value)
-        self.tol = float(tol)
-
-    def _coerce(self, other):
-        if isinstance(other, FloatVal):
-            return other
-        if isinstance(other, (int, float, Fraction)):
-            return FloatVal(float(other), self.tol)
-        if isinstance(other, QScalar):
-            raise MixedBackend("cannot mix exact and float scalars")
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FloatVal(self.value + o.value, max(self.tol, o.tol))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FloatVal(self.value - o.value, max(self.tol, o.tol))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FloatVal(o.value - self.value, max(self.tol, o.tol))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FloatVal(self.value * o.value, max(self.tol, o.tol))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FloatVal(self.value / o.value, max(self.tol, o.tol))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FloatVal(o.value / self.value, max(self.tol, o.tol))
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        return FloatVal(self.value ** exponent, self.tol)
-
-    def __neg__(self):
-        return FloatVal(-self.value, self.tol)
-
-    def __abs__(self):
-        return FloatVal(abs(self.value), self.tol)
-
-    def sign(self) -> int:
-        if abs(self.value) <= self.tol:
-            return 0
-        return 1 if self.value > 0 else -1
-
-    def _diff(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return None
-        return self.value - o.value, max(self.tol, o.tol)
-
-    def __eq__(self, other):
-        if isinstance(other, QScalar):
-            return NotImplemented
-        d = self._diff(other)
-        if d is None:
-            return NotImplemented
-        return abs(d[0]) <= d[1]
-
-    __hash__ = None
-
-    def __lt__(self, other):
-        d = self._diff(other)
-        if d is None:
-            return NotImplemented
-        return d[0] < -d[1]
-
-    def __le__(self, other):
-        d = self._diff(other)
-        if d is None:
-            return NotImplemented
-        return d[0] <= d[1]
-
-    def __gt__(self, other):
-        d = self._diff(other)
-        if d is None:
-            return NotImplemented
-        return d[0] > d[1]
-
-    def __ge__(self, other):
-        d = self._diff(other)
-        if d is None:
-            return NotImplemented
-        return d[0] >= -d[1]
-
-    def __bool__(self):
-        return self.sign() != 0
-
-    def __float__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"FloatVal({self.value!r}, tol={self.tol!r})"
-
-
-def backend_of(s) -> str:
-    """Classify a scalar as 'exact' or 'float'."""
-    if isinstance(s, (QScalar, *_EXACT_COERCIBLE)):
-        return "exact"
-    if isinstance(s, (FloatVal, float)):
-        return "float"
-    raise TypeError(f"not a scalar: {s!r}")
-
-
 def scalar_sign(s) -> int:
-    if isinstance(s, (QScalar, FloatVal)):
+    if isinstance(s, QScalar):
         return s.sign()
     if isinstance(s, _EXACT_COERCIBLE):
         return (s > 0) - (s < 0)
@@ -672,7 +521,7 @@ def sqrt_value(s2):
         # p*q is factored by trial division, so only while that is quick
         if u.is_rational and pq <= _MAX_FACTORED:
             return sqrt_exact(u, (3, _squarefree(pq)[1]))
-        return FloatVal(math.sqrt(u.to_float()))
+        return math.sqrt(u.to_float())
 
 
 def deviation_value(a2, b2):
@@ -682,15 +531,15 @@ def deviation_value(a2, b2):
     sb = sqrt_value(b2)
     if isinstance(sa, QScalar) and isinstance(sb, QScalar):
         return abs(sa - sb)
-    return FloatVal(abs(float(sa) - float(sb)))
+    return abs(float(sa) - float(sb))
 
 
 def sqrt_diff_within(a2, b2, eps) -> bool:
     """Decide |sqrt(a2) - sqrt(b2)| <= eps using only ring operations.
 
-    a2 and b2 are squared lengths (nonnegative), eps a plain scalar of the
-    same backend.  Squaring twice keeps the exact backend inside the field
-    even when the individual lengths have no exact square root.
+    a2 and b2 are squared lengths (nonnegative), eps an exact scalar.
+    Squaring twice keeps the decision inside the field even when the
+    individual lengths have no exact square root.
     """
     if scalar_sign(eps) < 0:
         return False
@@ -734,7 +583,7 @@ def _compare_mixed(hi2, lo2, b2) -> int:
 
 @dataclass(frozen=True)
 class Point:
-    """Plane point; both coordinates must share one backend."""
+    """Plane point with exact coordinates."""
 
     x: object
     y: object
@@ -742,50 +591,34 @@ class Point:
     def __post_init__(self):
         object.__setattr__(self, "x", _normalize_coord(self.x))
         object.__setattr__(self, "y", _normalize_coord(self.y))
-        if backend_of(self.x) != backend_of(self.y):
-            raise MixedBackend("point coordinates use different backends")
 
     @classmethod
     def exact(cls, x, y) -> "Point":
         return cls(QScalar._coerce(x) if not isinstance(x, str) else parse_scalar(x),
                    QScalar._coerce(y) if not isinstance(y, str) else parse_scalar(y))
 
-    @classmethod
-    def approx(cls, x: float, y: float, tol: float = DEFAULT_TOL) -> "Point":
-        return cls(FloatVal(x, tol), FloatVal(y, tol))
-
-    @property
-    def backend(self) -> str:
-        return backend_of(self.x)
-
-    def to_float_pair(self) -> tuple:
-        return (float(self.x), float(self.y))
-
     def __repr__(self):
-        if self.backend == "exact":
-            return f"Point({self.x}, {self.y})"
-        return f"Point({self.x.value:.6g}, {self.y.value:.6g})"
+        return f"Point({self.x}, {self.y})"
 
 
 def _normalize_coord(v):
+    if isinstance(v, QScalar):
+        return v
     if isinstance(v, _EXACT_COERCIBLE):
         return QScalar(v)
-    if isinstance(v, (QScalar, FloatVal)):
-        return v
     if isinstance(v, float):
-        raise MixedBackend("bare float coordinate: wrap it in FloatVal or use Point.approx")
+        raise MixedBackend("bare float coordinate: points are exact")
     raise TypeError(f"not a coordinate: {v!r}")
 
 
-def point_to_float(p: Point, tol: float = DEFAULT_TOL) -> Point:
-    """Down-convert a point to the float backend (identity if already float)."""
-    if p.backend == "float":
-        return p
-    return Point(FloatVal(p.x.to_float(), tol), FloatVal(p.y.to_float(), tol))
+def point_to_float(p: Point) -> tuple:
+    """(x, y) as floats: the one way out of a point, for drawing, sort keys
+    and reports; no decision reads it."""
+    return (float(p.x), float(p.y))
 
 
 def dist2(p: Point, q: Point):
-    """Exact (or tolerance-tracked) squared Euclidean distance."""
+    """Exact squared Euclidean distance."""
     dx = p.x - q.x
     dy = p.y - q.y
     return dx * dx + dy * dy
@@ -800,74 +633,41 @@ def points_equal(p: Point, q: Point) -> bool:
     return p.x == q.x and p.y == q.y
 
 
-def lex_less(p: Point, q: Point) -> bool:
-    """Strict lexicographic (x, y) order; raw values on the float backend."""
-    if p.backend == "exact" and q.backend == "exact":
-        if p.x != q.x:
-            return p.x < q.x
-        return p.y < q.y
-    px, py = p.to_float_pair()
-    qx, qy = q.to_float_pair()
-    return (px, py) < (qx, qy)
-
-
-def _sqrt_backend(s2, field):
-    if isinstance(s2, FloatVal):
-        return FloatVal(math.sqrt(max(s2.value, 0.0)), s2.tol)
-    return sqrt_exact(s2, field)
-
-
-def _coerce_radius(r, backend: str, tol: float):
-    if backend == "exact":
-        c = QScalar._coerce(r)
-        if c is None:
-            raise MixedBackend("exact circle with non-exact radius")
-        return c
-    if isinstance(r, FloatVal):
-        return r
-    if isinstance(r, QScalar):
-        raise MixedBackend("float circle with exact radius")
-    return FloatVal(float(r), tol)
-
-
 def circle_intersect(c1: Point, r1sq, c2: Point, r2sq, field=Q_SQRT3) -> tuple:
     """Intersection points of two circles given by center and squared radius.
 
     Returns a tuple of 0, 1 or 2 points, lexicographically ordered.  A
-    single point means tangency; on the float backend near-tangency within
-    tol snaps to one point.  Raises ConcentricCircles for equal centers and
-    NotRepresentable when the exact result needs a square root outside
-    `field` (radicands as for sqrt_exact; by default Q(sqrt(3))).
+    single point means tangency.  A radius that is no exact scalar (a
+    float, say) raises MixedBackend.  Raises ConcentricCircles for equal
+    centers and NotRepresentable when the result needs a square root
+    outside `field` (radicands as for sqrt_exact; by default Q(sqrt(3))).
     """
-    if c1.backend != c2.backend:
-        raise MixedBackend("circle centers use different backends")
-    backend = c1.backend
-    tol = c1.x.tol if backend == "float" else DEFAULT_TOL
-    r1sq = _coerce_radius(r1sq, backend, tol)
-    r2sq = _coerce_radius(r2sq, backend, tol)
-    if scalar_sign(r1sq) <= 0 or scalar_sign(r2sq) <= 0:
+    r1sq, r2sq = QScalar._coerce(r1sq), QScalar._coerce(r2sq)
+    if r1sq is None or r2sq is None:
+        raise MixedBackend("circle radius is not an exact scalar")
+    if r1sq.sign() <= 0 or r2sq.sign() <= 0:
         raise ValueError("circle radii must be positive")
     dx = c2.x - c1.x
     dy = c2.y - c1.y
     d2 = dx * dx + dy * dy
-    if scalar_sign(d2) == 0:
+    if d2.sign() == 0:
         raise ConcentricCircles("circle centers coincide")
     # parameter along the center line, then squared perpendicular offset
     t = (d2 + r1sq - r2sq) / (2 * d2)
     s2 = r1sq / d2 - t * t
-    ss = scalar_sign(s2)
+    ss = s2.sign()
     if ss < 0:
         return ()
     bx = c1.x + t * dx
     by = c1.y + t * dy
     if ss == 0:
         return (Point(bx, by),)
-    s = _sqrt_backend(s2, field)
+    s = sqrt_exact(s2, field)
     ox = -(dy * s)
     oy = dx * s
     pa = Point(bx + ox, by + oy)
     pb = Point(bx - ox, by - oy)
-    if lex_less(pb, pa):
+    if (pb.x, pb.y) < (pa.x, pa.y):
         pa, pb = pb, pa
     return (pa, pb)
 

@@ -4,7 +4,8 @@ lattice, induced unit-distance graphs and unit paths.
 The base triangle p0=(0,0), p1=(1,0), p2=(1/2, sqrt(3)/2) is the fixed
 frame all orientation machinery is anchored to.  All three corners are
 triangular-lattice points, so lattice balls of radius >= 1 contain them
-automatically.
+automatically.  Every point is exact, so a point set indexes its points by
+their coefficients.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import MissingTriangle, MixedBackend
+from .errors import MissingTriangle
 from .numeric import (
     Point,
     QScalar,
@@ -32,7 +33,7 @@ TRIANGLE = (P0, P1, P2)
 
 
 def _exact_key(p: Point) -> tuple:
-    """Index key of an exact point: its coefficients, beyond-sqrt(3) terms
+    """Index key of a point: its coefficients, beyond-sqrt(3) terms
     only when present, so Q(sqrt(3)) points keep their four-Fraction key."""
     x, y = p.x, p.y
     if x.ext or y.ext:
@@ -41,44 +42,30 @@ def _exact_key(p: Point) -> tuple:
 
 
 class PointSet:
-    """Ordered collection of distinct points sharing one backend.
+    """Ordered collection of distinct exact points.
 
     Insertion order is preserved and is the identity of each point (id by
-    index).  Duplicates are dropped first-wins; on the float backend two
-    points within tol of each other count as duplicates.
+    index).  Duplicates are dropped first-wins.
     """
 
-    __slots__ = ("points", "_exact_index")
+    __slots__ = ("points", "_index")
+
+    # every point is exact; the point-set format and bench/ still read it
+    backend = "exact"
 
     def __init__(self, points):
         seen = []
-        exact_index = {}
-        backend = None
+        index = {}
         for p in points:
             if not isinstance(p, Point):
                 raise TypeError(f"not a Point: {p!r}")
-            if backend is None:
-                backend = p.backend
-            elif p.backend != backend:
-                raise MixedBackend("point set mixes exact and float points")
-            if backend == "exact":
-                key = _exact_key(p)
-                if key in exact_index:
-                    continue
-                exact_index[key] = len(seen)
-                seen.append(p)
-            else:
-                if any(points_equal(p, q) for q in seen):
-                    continue
-                seen.append(p)
+            key = _exact_key(p)
+            if key in index:
+                continue
+            index[key] = len(seen)
+            seen.append(p)
         self.points = tuple(seen)
-        self._exact_index = exact_index
-
-    @property
-    def backend(self) -> str:
-        if not self.points:
-            return "exact"
-        return self.points[0].backend
+        self._index = index
 
     def __len__(self):
         return len(self.points)
@@ -91,12 +78,7 @@ class PointSet:
 
     def index_of(self, p: Point) -> int:
         """Index of a point, or -1 when absent."""
-        if self.backend == "exact" and p.backend == "exact":
-            return self._exact_index.get(_exact_key(p), -1)
-        for i, q in enumerate(self.points):
-            if points_equal(p, q):
-                return i
-        return -1
+        return self._index.get(_exact_key(p), -1)
 
     def __contains__(self, p: Point) -> bool:
         return self.index_of(p) >= 0
@@ -129,7 +111,7 @@ class PointSet:
         )
 
     def __repr__(self):
-        return f"PointSet({len(self.points)} points, {self.backend})"
+        return f"PointSet({len(self.points)} points)"
 
 
 def unit_graph(ps: PointSet) -> tuple:
@@ -154,8 +136,8 @@ def lattice_point(a: int, b: int) -> Point:
 
 
 def lattice_coords(p: Point):
-    """Inverse of lattice_point for exact points; None when off-lattice."""
-    if p.backend != "exact" or p.x.ext or p.y.ext:
+    """Inverse of lattice_point; None when off-lattice."""
+    if p.x.ext or p.y.ext:
         return None
     if p.y.a != 0:
         return None
@@ -240,8 +222,7 @@ def unit_path(frm: Point, to: Point) -> tuple:
     allows one, then lattice walks when both endpoints are lattice points,
     and finally a straight chain of unit hops capped by an apex.  The
     chain needs the gap length itself to lie in Q(sqrt(3)), otherwise
-    NotRepresentable propagates; a float pair that far apart raises
-    MixedBackend.
+    NotRepresentable propagates.
     """
     if points_equal(frm, to):
         return (frm,)

@@ -38,6 +38,7 @@ from rigidlab.numeric import (
     circle_intersect,
     dist2,
     is_unit,
+    point_to_float,
     points_equal,
     scalar_sign,
     sqrt_exact,
@@ -196,8 +197,7 @@ GADGET_FIGURES = {
     "triangle-extension": lambda: gadget("triangle-extension").points,
     "rhombus": lambda: gadget("rhombus").points,
     **{f"chain{n}": (lambda n=n: gadget("chain", n=n).points) for n in (1, 2, 3, 5)},
-    "spindle-exact": lambda: gadget("moser-spindle", backend="exact").points,
-    "spindle-float": lambda: gadget("moser-spindle", backend="float").points,
+    "spindle-exact": lambda: gadget("moser-spindle").points,
 }
 
 placement_figures = st.one_of(
@@ -238,7 +238,7 @@ def _join_rhombi(ps) -> set:
     halves = []
     for members in ((0, 1, 2, 3), (0, 4, 5, 6)):
         res = enumerate_unit_maps(ps.subset(members), normalize_mirror=False)
-        halves.append([[complex(*p.to_float_pair()) - complex(*m[0].to_float_pair())
+        halves.append([[complex(*point_to_float(p)) - complex(*point_to_float(m[0]))
                         for p in m] for m in res.maps])
     o0, o1 = placement_order(ps).order[:2]
     edges = unit_graph(ps)
@@ -258,8 +258,13 @@ def _join_rhombi(ps) -> set:
                 z = h1 + [w * turn for w in h2[1:]]
                 assert all(abs(abs(z[i] - z[j]) - 1) < 1e-9 for i, j in edges)
                 z = [(w - z[o0]) / (z[o1] - z[o0]) for w in z]
-                keys.add(canonical_map_key([Point.approx(w.real, w.imag) for w in z]))
+                # canonical_map_key, read off the float pairs
+                keys.add(min(_rounded(z), _rounded([w.conjugate() for w in z])))
     return keys
+
+
+def _rounded(zs) -> tuple:
+    return tuple((round(w.real, 7) + 0.0, round(w.imag, 7) + 0.0) for w in zs)
 
 
 def reference_unit_maps(T, order=None, branch_limit=DEFAULT_BRANCH_LIMIT, field=None):
@@ -269,13 +274,9 @@ def reference_unit_maps(T, order=None, branch_limit=DEFAULT_BRANCH_LIMIT, field=
     Returns (maps, nodes, pruned, truncated)."""
     if order is None:
         order = placement_order(T)
-    if T.backend == "exact":
-        if field is None:
-            field = tuple(sorted({3}.union(*(p.x.radicands + p.y.radicands for p in T))))
-        base = (Point(QScalar(0), QScalar(0)), Point(QScalar(1), QScalar(0)))
-    else:
-        field = None
-        base = (Point.approx(0.0, 0.0, T[0].x.tol), Point.approx(1.0, 0.0, T[0].x.tol))
+    if field is None:
+        field = tuple(sorted({3}.union(*(p.x.radicands + p.y.radicands for p in T))))
+    base = (Point(QScalar(0), QScalar(0)), Point(QScalar(1), QScalar(0)))
     n = len(T)
     if n == 1:
         return [(base[0],)], 1, 0, False
@@ -330,7 +331,7 @@ def reference_unit_maps(T, order=None, branch_limit=DEFAULT_BRANCH_LIMIT, field=
         return False
 
     truncated = place(2, False)
-    maps.sort(key=lambda m: [p.to_float_pair() for p in m])
+    maps.sort(key=lambda m: [point_to_float(p) for p in m])
     return maps, count["nodes"], count["pruned"], truncated
 
 
@@ -353,8 +354,8 @@ def _assert_matches_reference(ps, branch_limit=DEFAULT_BRANCH_LIMIT, runs=1):
         res = enumerate_unit_maps(ps, branch_limit=branch_limit)
         assert (res.nodes, res.pruned, res.truncated) == (nodes, pruned, truncated)
         assert [list(m) for m in res.maps] == [list(m) for m in maps]
-        assert ([[p.to_float_pair() for p in m] for m in res.maps]
-                == [[p.to_float_pair() for p in m] for m in maps])
+        assert ([[point_to_float(p) for p in m] for m in res.maps]
+                == [[point_to_float(p) for p in m] for m in maps])
     return res
 
 
@@ -377,8 +378,7 @@ ORACLE_FIGURES = {
        for y in ((2, 1), (1, 2), (3, 1), (-2, 3), (2, 2))},
     "rhombus": lambda: gadget("rhombus").points,
     "ball1": lambda: lattice_ball(1),
-    "spindle-exact": lambda: gadget("moser-spindle", backend="exact").points,
-    "spindle-float": lambda: gadget("moser-spindle", backend="float").points,
+    "spindle-exact": lambda: gadget("moser-spindle").points,
 }
 
 
@@ -477,8 +477,7 @@ class TestSharedSiteTable:
         ps = ORACLE_FIGURES[name]()
         with emptied_tables() as tables:
             _assert_matches_reference(ps, runs=2)
-            # float positions have no hash: their tables are never shared
-            assert len(tables) == (ps.backend == "exact")
+            assert len(tables) == 1
 
     @given(st.sampled_from(["ladder3(1, 0)", "braced(2, 1)", "ball1", "spindle-exact"]),
            st.integers(0, 200))
@@ -650,17 +649,9 @@ class TestCertify:
         rep = bq_certify(g.points, 0, 3, SQRT3)
         assert rep.certified
 
-    def test_float_figure_refused(self):
-        # the float spindle still enumerates, but certifies nothing
-        with pytest.raises(MixedBackend):
-            bq_certify(gadget("moser-spindle", backend="float").points, 0, 3, 0)
-        with pytest.raises(MixedBackend):
-            bq_certify(gadget("rhombus").points, 0, 3, 1.75)
-
     def test_maps_leaving_the_field_refused(self, spindle_braced_ball1):
         # the spindles' maps need sqrt(11/148 + sqrt(33)/37); an exact
         # figure gets an exact certificate or none, never a float one
-        assert spindle_braced_ball1.backend == "exact"
         with pytest.raises(NotRepresentable):
             bq_certify(spindle_braced_ball1, 0, 1, QScalar(0))
 
@@ -704,18 +695,10 @@ class TestGadgets:
         assert min(m.bit_count() for m in nbrs) >= 3
         assert component(nbrs, 0, 0b1111111) == 0b1111111
 
-    def test_float_spindle_rounds_the_exact_one(self):
-        exact = gadget("moser-spindle", backend="exact").points
-        floats = gadget("moser-spindle", backend="float").points
-        assert floats.backend == "float" and len(floats) == len(exact) == 7
-        for p, q in zip(floats, exact):
-            assert p.to_float_pair() == q.to_float_pair()
-
     def test_spindle_exact_not_representable(self):
         """The exact spindle lives in Q(sqrt(3), sqrt(11)); its hinge offset
         sqrt(11)/6 stays outside the default field Q(sqrt(3))."""
-        g = gadget("moser-spindle", backend="exact")
-        assert g.points.backend == "exact"
+        g = gadget("moser-spindle")
         edges = unit_graph(g.points)
         assert len(edges) == 11
         assert all(dist2(g.points[i], g.points[j]) == QScalar(1) for i, j in edges)
@@ -743,16 +726,13 @@ class TestGadgets:
 
     def test_exact_spindle_maps(self):
         """Both rhombi stay open in every map: |AD|^2 = 3 throughout."""
-        exact = gadget("moser-spindle", backend="exact").points
+        exact = gadget("moser-spindle").points
         res = enumerate_unit_maps(exact)
         assert len(res.maps) == 4
         edges = unit_graph(exact)
         for m in res.maps:
             assert all(dist2(m[i], m[j]) == QScalar(1) for i, j in edges)
             assert dist2(m[0], m[3]) == QScalar(3)
-        floats = enumerate_unit_maps(gadget("moser-spindle", backend="float").points)
-        assert ({canonical_map_key(m) for m in res.maps}
-                == {canonical_map_key(m) for m in floats.maps})
         assert {canonical_map_key(m) for m in res.maps} == naive_unit_maps(exact)
         assert {canonical_map_key(m) for m in res.maps} == _join_rhombi(exact)
 
@@ -805,6 +785,26 @@ class TestGrowWitness:
     def test_same_point_rejected(self):
         with pytest.raises(ValueError):
             grow_witness(P0, P0, QScalar(1))
+
+    @pytest.mark.parametrize("eps,budget", [(QScalar(-1), 10), (-1, 10), (1, -1)],
+                             ids=["epsilon", "int-epsilon", "budget"])
+    def test_refused_before_any_build(self, eps, budget, monkeypatch):
+        # a refused epsilon or budget certifies no strategy's set
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return bq_certify(*args, **kwargs)
+
+        monkeypatch.setattr(bq, "bq_certify", counted)
+        with pytest.raises(ValueError):
+            grow_witness(P0, lattice_point(2, 0), eps, budget=budget)
+        assert calls == []
+        with pytest.raises(MixedBackend):
+            grow_witness(P0, lattice_point(2, 0), -1.0, budget=budget)
+        with pytest.raises(TypeError):
+            grow_witness(P0, lattice_point(2, 0), "1", budget=budget)
+        assert calls == []
 
     @pytest.mark.parametrize("y", [(1, 0), (2, 0)])
     def test_negative_budget_refused(self, y):

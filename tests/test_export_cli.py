@@ -62,7 +62,7 @@ class TestJsonRoundtrip:
                 scalar_from_json({"a": "0", "b": "0", "ext": [[d, "1"]]})
 
     def test_pointset_spindle(self):
-        ps = gadget("moser-spindle", backend="exact").points
+        ps = gadget("moser-spindle").points
         assert pointset_from_json(pointset_to_json(ps)) == ps
 
     def test_float_scalar_refused(self):

@@ -1,4 +1,4 @@
-"""Exact field arithmetic, float interval scalars, and geometric predicates."""
+"""Exact field arithmetic, refused floats, and geometric predicates."""
 
 import math
 import re
@@ -16,14 +16,14 @@ from rigidlab.errors import (
     NotRepresentable,
     UsageError,
 )
+from rigidlab.bq import bq_certify, gadget
 from rigidlab.numeric import (
-    DEFAULT_TOL,
     SQRT3,
-    FloatVal,
     Point,
     QScalar,
     circle_intersect,
     compare_deviation,
+    deviation_value,
     dist2,
     format_scalar,
     is_unit,
@@ -34,6 +34,8 @@ from rigidlab.numeric import (
     sqrt_exact,
     sqrt_value,
 )
+from rigidlab.plane import P0, P1
+from rigidlab.product import trilaterate
 
 fracs = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 qscalars = st.builds(QScalar, fracs, fracs)
@@ -85,10 +87,6 @@ class TestQScalarField:
         assert QScalar(fl) <= u < QScalar(fl + 1)
         assert QScalar(ce - 1) < u <= QScalar(ce)
 
-    def test_rejects_bare_float(self):
-        with pytest.raises(MixedBackend):
-            QScalar(0.5)
-
     def test_pow(self):
         assert QScalar(1, 1) ** 2 == QScalar(4, 2)
         assert QScalar(0, 1) ** -2 == QScalar(Fraction(1, 3))
@@ -119,10 +117,20 @@ class TestSqrtExact:
     def test_sqrt_value_of_rational_square(self):
         # sqrt(7/12) = sqrt(84)/12 = sqrt(21)/6 lies outside Q(sqrt(3))
         assert sqrt_value(QScalar(Fraction(7, 12))) == QScalar(ext=((21, Fraction(1, 6)),))
-        assert isinstance(sqrt_value(QScalar(2, 1)), FloatVal)
+        assert isinstance(sqrt_value(QScalar(2, 1)), float)
         # the prime 2**61 - 1 is not factored by trial division
         root = sqrt_value(QScalar(2**61 - 1))
-        assert isinstance(root, FloatVal) and root.value == math.sqrt(2**61 - 1)
+        assert isinstance(root, float) and root == math.sqrt(2**61 - 1)
+
+    def test_report_float(self):
+        # a length whose root leaves its field is reported as a plain float
+        dev = deviation_value(QScalar(2, 1), QScalar(1))
+        assert isinstance(dev, float) and dev == math.sqrt(2 + math.sqrt(3)) - 1
+        # the spindle's B and G move apart by such a length
+        g = gadget("moser-spindle")
+        rep = bq_certify(g.points, g.labeled_index("B"), g.labeled_index("G"), 0)
+        assert not rep.certified and isinstance(rep.max_deviation, float)
+        assert re.fullmatch(r"\d+\.\d+", str(rep.max_deviation))
 
     @given(qscalars)
     def test_roundtrip_on_squares(self, u):
@@ -266,34 +274,27 @@ class TestMultiquadratic:
                 parse_scalar(bad)
 
 
-class TestFloatVal:
-    def test_eq_within_tol(self):
-        a = FloatVal(1.0, 1e-9)
-        assert a == FloatVal(1.0 + 5e-10, 1e-9)
-        assert a != FloatVal(1.1, 1e-9)
+# each exact entry point refuses a bare Python float rather than round it
+FLOAT_REFUSALS = {
+    "QScalar": lambda: QScalar(0.5),
+    "QScalar arithmetic": lambda: QScalar(1) + 1.0,
+    "Point": lambda: Point(QScalar(1), 1.0),
+    "circle_intersect radius": lambda: circle_intersect(P0, 1, P1, 1.0),
+    "sqrt_exact": lambda: sqrt_exact(2.0),
+    "bq_certify epsilon": lambda: bq_certify(gadget("rhombus").points, 0, 3, 1.75),
+    "trilaterate": lambda: trilaterate(0.0625, 1, 1),
+}
 
-    def test_comparisons_respect_band(self):
-        a = FloatVal(1.0, 1e-3)
-        assert not (a < FloatVal(1.0005, 1e-3))
-        assert a < FloatVal(1.01, 1e-3)
-        assert a <= FloatVal(0.9995, 1e-3)
 
-    def test_tol_propagates_as_max(self):
-        c = FloatVal(1.0, 1e-9) + FloatVal(1.0, 1e-3)
-        assert c.tol == 1e-3
+@pytest.mark.parametrize("entry", sorted(FLOAT_REFUSALS))
+def test_bare_float_refused(entry):
+    with pytest.raises(MixedBackend):
+        FLOAT_REFUSALS[entry]()
 
-    def test_mixing_backends_raises(self):
-        with pytest.raises(MixedBackend):
-            FloatVal(1.0) + QScalar(1)
-        with pytest.raises(MixedBackend):
-            QScalar(1) + FloatVal(1.0)
 
-    def test_cross_backend_eq_is_false_not_error(self):
-        assert (QScalar(1) == FloatVal(1.0)) is False
-
-    def test_unhashable(self):
-        with pytest.raises(TypeError):
-            hash(FloatVal(1.0))
+def test_float_compares_unequal():
+    # equality with a float is False, not an error and not a rounding
+    assert (QScalar(1) == 1.0) is False
 
 
 class TestParseFormat:
@@ -329,19 +330,6 @@ class TestPoint:
     def test_exact_construction(self):
         p = Point.exact("1/2", "r3")
         assert p.x == QScalar(Fraction(1, 2)) and p.y == SQRT3
-        assert p.backend == "exact"
-
-    def test_bare_float_coordinate_rejected(self):
-        with pytest.raises(MixedBackend):
-            Point(0.5, QScalar(1))
-
-    def test_approx(self):
-        p = Point.approx(0.5, 0.25)
-        assert p.backend == "float"
-
-    def test_mixed_coordinates_rejected(self):
-        with pytest.raises(MixedBackend):
-            Point(QScalar(1), FloatVal(1.0))
 
     def test_dist2_and_unit(self):
         a = Point(QScalar(0), QScalar(0))
@@ -349,15 +337,8 @@ class TestPoint:
         assert dist2(a, b) == QScalar(1)
         assert is_unit(a, b)
 
-    def test_float_unit_tolerance(self):
-        a = Point.approx(0.0, 0.0)
-        b = Point.approx(1.0 + 1e-12, 0.0)
-        assert is_unit(a, b)
-
     def test_point_to_float(self):
-        p = point_to_float(Point(QScalar(0), SQRT3))
-        assert p.backend == "float"
-        assert abs(p.y.value - math.sqrt(3)) < 1e-12
+        assert point_to_float(Point(QScalar(0), SQRT3)) == (0.0, math.sqrt(3))
 
 
 class TestCircleIntersect:
@@ -406,17 +387,6 @@ class TestCircleIntersect:
         for h in hits:
             assert dist2(P0, h) == QScalar(1)
 
-    def test_float_backend(self):
-        a = Point.approx(0.0, 0.0)
-        b = Point.approx(1.0, 0.0)
-        hits = circle_intersect(a, FloatVal(1.0), b, FloatVal(1.0))
-        assert len(hits) == 2
-
-    def test_mixed_backend_rejected(self):
-        a = Point.approx(0.0, 0.0)
-        b = Point.approx(1.0, 0.0)
-        with pytest.raises(MixedBackend):
-            circle_intersect(a, QScalar(1), b, FloatVal(1.0))
 
 
 class TestSqrtFreeComparisons:

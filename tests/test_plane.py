@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidlab.errors import MissingTriangle, MixedBackend, NotRepresentable
-from rigidlab.numeric import DEFAULT_TOL, Point, QScalar, dist2, is_unit, points_equal
+from rigidlab.errors import MissingTriangle, NotRepresentable
+from rigidlab.numeric import Point, QScalar, dist2, is_unit, points_equal
 from rigidlab.plane import (
     P0,
     P1,
@@ -29,10 +29,6 @@ class TestPointSet:
         ps = PointSet([P0, P1, P0, P2, P1])
         assert len(ps) == 3
         assert points_equal(ps[0], P0)
-
-    def test_mixed_backend_rejected(self):
-        with pytest.raises(MixedBackend):
-            PointSet([P0, Point.approx(0.0, 0.0)])
 
     def test_exact_key_sees_further_roots(self):
         # (sqrt(11), 0) shares every rational and sqrt(3) coefficient with p0
@@ -148,11 +144,6 @@ class TestUnitPath:
         assert len(path) >= 4
         for u, v in zip(path, path[1:]):
             assert dist2(u, v) == QScalar(1)
-
-    def test_float_far_pair(self):
-        # the straight chain is exact only; floats are not rounded into it
-        with pytest.raises(MixedBackend):
-            unit_path(Point.approx(0.0, 0.0), Point.approx(3.7, 1.2))
 
     def test_exact_irrational_gap_refused(self):
         # squared distance 13/4 has no exact square root in the field

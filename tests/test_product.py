@@ -12,10 +12,9 @@ from rigidlab.acceptance import _ball1_orientation_pair
 from rigidlab.errors import (
     BudgetExhausted,
     InconsistentDistances,
-    MixedBackend,
     NotRepresentable,
 )
-from rigidlab.numeric import FloatVal, Point, QScalar, dist2, points_equal
+from rigidlab.numeric import Point, QScalar, dist2, points_equal
 from rigidlab.phi import OrientationFamily, count_orientations, orientation_from_bits
 from rigidlab.plane import (
     P0,
@@ -240,15 +239,6 @@ class TestTrilaterate:
         # no lattice point has
         with pytest.raises(InconsistentDistances):
             trilaterate(dist2(P0, p), dist2(P1, p), dist2(P2, p) + 1)
-
-    def test_float_backend(self):
-        p = Point.approx(0.25, 1.5)
-        pf = [Point.approx(0.0, 0.0), Point.approx(1.0, 0.0),
-              Point.approx(0.5, 3 ** 0.5 / 2)]
-        with pytest.raises(MixedBackend):
-            trilaterate(dist2(pf[0], p), dist2(pf[1], p), dist2(pf[2], p))
-        with pytest.raises(MixedBackend):
-            trilaterate(0.0625, 1, 1)
 
 
 class TestCase1:
