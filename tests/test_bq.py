@@ -649,6 +649,17 @@ class TestCertify:
         rep = bq_certify(g.points, 0, 3, SQRT3)
         assert rep.certified
 
+    def test_float_figure_refused(self):
+        # a float epsilon is refused, a non-scalar one is a type error
+        with pytest.raises(MixedBackend):
+            bq_certify(gadget("rhombus").points, 0, 3, 1.75)
+        with pytest.raises(TypeError):
+            bq_certify(gadget("rhombus").points, 0, 3, "1.75")
+
+    def test_report_backend_is_exact(self):
+        # the report format and the benchmark read this constant
+        assert bq_certify(gadget("rhombus").points, 0, 3, SQRT3).backend == "exact"
+
     def test_maps_leaving_the_field_refused(self, spindle_braced_ball1):
         # the spindles' maps need sqrt(11/148 + sqrt(33)/37); an exact
         # figure gets an exact certificate or none, never a float one

@@ -87,6 +87,12 @@ class TestQScalarField:
         assert QScalar(fl) <= u < QScalar(fl + 1)
         assert QScalar(ce - 1) < u <= QScalar(ce)
 
+    def test_rejects_bare_float(self):
+        # every coefficient slot refuses a float, not only the rational one
+        for args, kwargs in (((0.5,), {}), ((1, 0.5), {}), ((), {"ext": ((11, 0.5),)})):
+            with pytest.raises(MixedBackend):
+                QScalar(*args, **kwargs)
+
     def test_pow(self):
         assert QScalar(1, 1) ** 2 == QScalar(4, 2)
         assert QScalar(0, 1) ** -2 == QScalar(Fraction(1, 3))
@@ -331,11 +337,30 @@ class TestPoint:
         p = Point.exact("1/2", "r3")
         assert p.x == QScalar(Fraction(1, 2)) and p.y == SQRT3
 
+    def test_bare_float_coordinate_rejected(self):
+        with pytest.raises(MixedBackend):
+            Point(0.5, QScalar(1))
+        with pytest.raises(MixedBackend):
+            Point.exact(0.5, 0)
+
+    def test_mixed_coordinates_rejected(self):
+        # an exact or integer coordinate does not carry a float one along
+        for x in (QScalar(1), 1):
+            with pytest.raises(MixedBackend):
+                Point(x, 1.0)
+        with pytest.raises(TypeError):
+            Point(QScalar(1), "1")
+
     def test_dist2_and_unit(self):
         a = Point(QScalar(0), QScalar(0))
         b = Point(QScalar(1), QScalar(0))
         assert dist2(a, b) == QScalar(1)
         assert is_unit(a, b)
+
+    def test_unit_has_no_tolerance(self):
+        # a unit decision is exact: off by 1e-12 is not unit, sqrt(3)/2 is
+        assert not is_unit(P0, Point(1 + Fraction(1, 10**12), 0))
+        assert is_unit(P0, Point(QScalar(Fraction(1, 2)), QScalar(0, Fraction(1, 2))))
 
     def test_point_to_float(self):
         assert point_to_float(Point(QScalar(0), SQRT3)) == (0.0, math.sqrt(3))
@@ -387,6 +412,16 @@ class TestCircleIntersect:
         for h in hits:
             assert dist2(P0, h) == QScalar(1)
 
+    def test_mixed_backend_rejected(self):
+        # either radius: a float or a non-scalar is no exact radius
+        for r1, r2 in ((1.0, 1), ("1", 1)):
+            with pytest.raises(MixedBackend):
+                circle_intersect(P0, r1, P1, r2)
+
+    def test_exact_hits_round_to_float_geometry(self):
+        hits = circle_intersect(P0, 1, P1, 1)
+        assert ([point_to_float(h) for h in hits]
+                == [(0.5, -math.sqrt(3) / 2), (0.5, math.sqrt(3) / 2)])
 
 
 class TestSqrtFreeComparisons:

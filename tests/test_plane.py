@@ -1,5 +1,7 @@
 """Lattice fragments, unit graphs and unit paths."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +31,12 @@ class TestPointSet:
         ps = PointSet([P0, P1, P0, P2, P1])
         assert len(ps) == 3
         assert points_equal(ps[0], P0)
+
+    def test_mixed_backend_rejected(self):
+        # a float pair is no point; every point set is exact
+        with pytest.raises(TypeError):
+            PointSet([P0, (0.0, 0.0)])
+        assert PointSet([P0]).backend == "exact"
 
     def test_exact_key_sees_further_roots(self):
         # (sqrt(11), 0) shares every rational and sqrt(3) coefficient with p0
@@ -149,4 +157,10 @@ class TestUnitPath:
         # squared distance 13/4 has no exact square root in the field
         with pytest.raises(NotRepresentable):
             unit_path(P0, Point.exact("0", "13/12r3"))
+
+    def test_float_far_pair(self):
+        # the straight chain is exact only: the decimal pair (3.7, 1.2),
+        # given exactly, is refused rather than rounded into the field
+        with pytest.raises(NotRepresentable):
+            unit_path(P0, Point(Fraction(37, 10), Fraction(6, 5)))
 

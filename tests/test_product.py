@@ -12,6 +12,7 @@ from rigidlab.acceptance import _ball1_orientation_pair
 from rigidlab.errors import (
     BudgetExhausted,
     InconsistentDistances,
+    MixedBackend,
     NotRepresentable,
 )
 from rigidlab.numeric import Point, QScalar, dist2, points_equal
@@ -239,6 +240,14 @@ class TestTrilaterate:
         # no lattice point has
         with pytest.raises(InconsistentDistances):
             trilaterate(dist2(P0, p), dist2(P1, p), dist2(P2, p) + 1)
+
+    def test_float_backend(self):
+        # a float in any slot is refused, a non-scalar is a type error
+        for args in ((0.0625, 1, 1), (1, 1.0, 1), (1, 1, 1.0)):
+            with pytest.raises(MixedBackend):
+                trilaterate(*args)
+        with pytest.raises(TypeError):
+            trilaterate(1, 1, "1")
 
 
 class TestCase1:
