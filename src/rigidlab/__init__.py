@@ -28,7 +28,6 @@ from .numeric import (
     dist2,
     is_unit,
     parse_scalar,
-    points_equal,
     sqrt_exact,
 )
 from .plane import (
@@ -93,7 +92,7 @@ __all__ = [
     "NegativeRadicand", "NotAnchored", "NotRepresentable", "NoWitnessExists",
     "RigidlabError", "UsageError",
     "SQRT3", "Point", "QScalar",
-    "circle_intersect", "dist2", "is_unit", "parse_scalar", "points_equal",
+    "circle_intersect", "dist2", "is_unit", "parse_scalar",
     "sqrt_exact",
     "P0", "P1", "P2", "TRIANGLE", "PointSet", "base_triangle", "lattice_ball",
     "lattice_point", "unit_graph", "unit_path",

@@ -37,7 +37,7 @@ from .export import (
     product_to_json,
     write_text_atomic,
 )
-from .numeric import SQRT3, Point, QScalar, dist2, point_to_float, points_equal
+from .numeric import SQRT3, Point, QScalar, dist2, point_to_float
 from .phi import (
     Orientation,
     OrientationFamily,
@@ -308,7 +308,7 @@ def run_criterion_8(seed: int = 7) -> CriterionResult:
         for _ in range(200):
             p = lattice_point(rng.randint(-6, 6), rng.randint(-6, 6))
             q = trilaterate(dist2(P0, p), dist2(P1, p), dist2(P2, p))
-            if points_equal(p, q):
+            if p == q:
                 recovered += 1
         rejected = 0
         for _ in range(20):

@@ -24,13 +24,14 @@ a certificate from a partial enumeration would be unsound.
 
 The enumerations in one field share one site table (_SiteTable), kept
 for the life of the process: every image position gets a number,
-positions interned by value, and the unit test of a candidate against an
-anchor image and the distinct-anchor test are each computed once per
-pair of sites, the circle intersection of two anchor images once per
-difference of the two.  A braced figure meets few positions many times
-over, and every enumeration places its images in the same frame, so the
-search repeats these decisions at many nodes and across many
-enumerations but pays for each once.
+positions interned by value, so distinct sites are distinct points and
+the distinct-anchor test compares site numbers.  The unit test of a
+candidate against an anchor image is computed once per pair of sites,
+the circle intersection of two anchor images once per difference of the
+two.  A braced figure meets few positions many times over, and every
+enumeration places its images in the same frame, so the search repeats
+these decisions at many nodes and across many enumerations but pays for
+each once.
 """
 
 from __future__ import annotations
@@ -47,14 +48,13 @@ from .numeric import (
     SQRT3,
     Point,
     QScalar,
+    _normalize_coord,
     circle_intersect,
     compare_deviation,
     deviation_value,
     dist2,
     is_unit,
     point_to_float,
-    points_equal,
-    scalar_sign,
     sqrt_diff_within,
     sqrt_exact,
 )
@@ -242,7 +242,8 @@ class _SiteTable:
     them.
 
     Points are interned by value, so every placement at one position
-    shares a site.  The arithmetic is memoized per pair of sites: a site
+    shares a site, and two sites are distinct points exactly when their
+    numbers differ.  The arithmetic is memoized per pair of sites: a site
     number stays valid for the table's life, while the id() of a
     candidate dropped on backtrack may be handed to a new point.  Sites 0
     and 1 are the frame's first edge, (0,0)-(1,0) (`origin`), as Points of
@@ -267,7 +268,7 @@ class _SiteTable:
       field: a site's number, by value; its y sign and float pair, by its
       point; the sites on the unit circles about two sites, by their
       points and the field (the offsets, by their difference and the
-      field); a unit test and the distinct-anchor test, by two points.
+      field); a unit test, by two points.
       Nothing is keyed by an enumeration's order, radii or branch limit;
       the candidates of a cluster step read its radii, so _enumerate
       keeps them.
@@ -290,7 +291,6 @@ class _SiteTable:
         self._offsets = {}
         self._meets = {}
         self._units = {}
-        self._same = {}
         self.origin = self.sites_of((Point(0, 0), Point(1, 0)))
 
     def site(self, p: Point) -> int:
@@ -313,15 +313,8 @@ class _SiteTable:
         out = self.sites_of(pts)
         for s in out:
             if self.y_sign[s] is None:
-                self.y_sign[s] = scalar_sign(self.points[s].y)
+                self.y_sign[s] = self.points[s].y.sign()
         return out
-
-    def same(self, s: int, t: int) -> bool:
-        key = (s, t)
-        got = self._same.get(key)
-        if got is None:
-            got = self._same[key] = s == t or points_equal(self.points[s], self.points[t])
-        return got
 
     def unit(self, s: int, t: int) -> bool:
         key = (s, t)
@@ -347,10 +340,11 @@ class _SiteTable:
         return got
 
     def anchor_pair(self, sites):
-        """First pair of distinct anchor sites, in deterministic order."""
+        """First pair of distinct anchor sites, in deterministic order;
+        distinct site numbers are distinct points."""
         for i in range(len(sites)):
             for j in range(i + 1, len(sites)):
-                if not self.same(sites[i], sites[j]):
+                if sites[i] != sites[j]:
                     return sites[i], sites[j]
         return None
 
@@ -412,16 +406,9 @@ def _field_of(T: PointSet) -> tuple:
 
 
 def _distinct(values) -> list:
-    """Values in ascending order without repeats.
-
-    Each value is compared with every kept one: distinct exact values may
-    share a float, so equal values need not sort next to each other.
-    """
-    out = []
-    for r in sorted(values, key=float):
-        if all(r != kept for kept in out):
-            out.append(r)
-    return out
+    """Distinct values in ascending order of their floats, distinct values
+    that share a float in order of first appearance."""
+    return sorted(dict.fromkeys(values), key=float)
 
 
 def _glue_candidates(cu: Point, cw: Point, radii, field) -> list:
@@ -429,10 +416,10 @@ def _glue_candidates(cu: Point, cw: Point, radii, field) -> list:
     distance from cw."""
     out = []
     for r in radii:
-        if scalar_sign(r) == 0:
+        if r.sign() == 0:
             if is_unit(cu, cw):
                 out.append(cu)
-        elif not points_equal(cu, cw):
+        elif cu != cw:
             out.extend(circle_intersect(cu, r, cw, 1, field))
         elif r == 1:
             raise NotAnchored(
@@ -555,9 +542,7 @@ def _locate(T: PointSet, p) -> int:
 
 def _epsilon(epsilon) -> QScalar:
     """epsilon as a QScalar, refused unless it is an exact scalar >= 0."""
-    eps = QScalar._coerce(epsilon)
-    if eps is None:
-        raise TypeError(f"epsilon must be a scalar, got {epsilon!r}")
+    eps = _normalize_coord(epsilon)
     if eps.sign() < 0:
         raise ValueError(f"epsilon must be at least 0, got {eps}")
     return eps
@@ -651,22 +636,12 @@ def naive_unit_maps(T: PointSet, order: PlacementOrder = None,
 
 
 def canonical_map_key(images) -> tuple:
-    """Map key invariant under reflection about the x axis."""
-    plain = _rounded_key(images)
-    mirrored = _rounded_key([_mirror_point(p) for p in images])
+    """Map key invariant under reflection about the x axis: the exact
+    (x, y) of each image, or of each image's mirror when that tuple is the
+    lesser in exact order."""
+    plain = tuple((p.x, p.y) for p in images)
+    mirrored = tuple((p.x, -p.y) for p in images)
     return min(plain, mirrored)
-
-
-def _mirror_point(p: Point) -> Point:
-    return Point(p.x, -p.y)
-
-
-def _rounded_key(images) -> tuple:
-    out = []
-    for p in images:
-        fx, fy = point_to_float(p)
-        out.append((round(fx, 7) + 0.0, round(fy, 7) + 0.0))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +677,7 @@ def gadget_rhombus() -> Gadget:
     return Gadget("rhombus", PointSet([a, P0, P1, d]), ("A", "B", "C", "D"))
 
 
-def gadget_chain(n: int) -> Gadget:
+def gadget_chain(n: int = 1) -> Gadget:
     """n+1 collinear points at unit spacing from the origin along the x axis."""
     if n < 1:
         raise ValueError("chain needs n >= 1")
@@ -813,7 +788,7 @@ def grow_witness(x: Point, y: Point, epsilon, budget: int = DEFAULT_BRANCH_LIMIT
     epsilon and budget are refused as bq_certify refuses them, once and
     before any strategy builds a set.
     """
-    if points_equal(x, y):
+    if x == y:
         raise ValueError("witness growth requires x != y")
     _epsilon(epsilon)
     _check_branch_limit(budget)

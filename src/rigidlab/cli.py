@@ -77,10 +77,6 @@ _SAMPLE_FLAGS = {"seed": 0, "count": 1}
 # refuses a base with more than this many, and --mode sample a larger --count
 _ALL_LIMIT = 1 << 16
 
-# certify reads --chain-n only for the chain gadget; a chain of two or
-# more hops folds, so only the default of one hop certifies
-_CHAIN_FLAGS = {"chain_n": 1}
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse wants to sys.exit(2) on bad flags; route that into the
@@ -140,10 +136,7 @@ def _build_parser() -> _Parser:
 
     p = add_parser("certify", help="distance-preservation certificate")
     p.add_argument("--gadget", default=None,
-                   help="triangle-extension | rhombus | chain | moser-spindle")
-    p.add_argument("--chain-n", type=int, default=argparse.SUPPRESS,
-                   help="chain length in unit hops, default 1 (--gadget chain); "
-                        "longer chains fold and exit 4")
+                   help="triangle-extension | rhombus | chain (one unit hop) | moser-spindle")
     p.add_argument("--input", default=None, help="point-set JSON file")
     p.add_argument("--x", required=True, help="gadget label or point 'x,y'")
     p.add_argument("--y", required=True, help="gadget label or point 'x,y'")
@@ -356,11 +349,8 @@ def _cmd_witness(args) -> int:
 def _cmd_certify(args) -> int:
     if (args.gadget is None) == (args.input is None):
         raise UsageError("certify needs one of --gadget and --input")
-    chain = args.gadget == "chain"
-    _own_flags(args, _CHAIN_FLAGS, _CHAIN_FLAGS if chain else {},
-               f"certify --gadget {args.gadget}" if args.gadget else "certify --input")
     if args.gadget:
-        g = gadget(args.gadget, **({"n": args.chain_n} if chain else {}))
+        g = gadget(args.gadget)
         ps = g.points
 
         def locate(text):

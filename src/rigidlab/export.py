@@ -14,7 +14,7 @@ import tempfile
 from fractions import Fraction
 
 from .errors import UsageError
-from .numeric import Point, QScalar, point_to_float
+from .numeric import MAX_RADICAND, Point, QScalar, point_to_float
 from .phi import Orientation
 from .plane import PointSet, unit_graph
 from .product import ProductStruct
@@ -35,11 +35,6 @@ def scalar_to_json(s):
             doc["ext"] = [[d, str(c)] for d, c in s.ext]
         return doc
     raise TypeError(f"not a serializable scalar: {s!r}")
-
-
-# radicands are factored by trial division, so those read from a document
-# are held to a size that factors at once
-MAX_RADICAND = 10**9
 
 
 def scalar_from_json(obj):

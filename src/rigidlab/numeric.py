@@ -9,10 +9,12 @@ its field raises NotRepresentable.  Plain ``int`` and ``Fraction`` values
 coerce to it; a Python float raises MixedBackend wherever an exact scalar
 is expected, instead of degrading precision.
 
-Every decision is exact.  Floats serve only drawing, sort keys and
-reports: ``QScalar.to_float``, ``point_to_float`` (the one way out of a
-point) and a report length whose root leaves its field (``sqrt_value``,
-``deviation_value``).
+Every decision is exact, and an exact value decides by itself: two
+points are the same exactly when they are ``==``, and a scalar's sign is
+its ``sign()``.  Floats only draw, sort and report: ``QScalar.to_float``,
+``point_to_float`` (the one way out of a point) and a report length whose
+root leaves its field (``sqrt_value``, ``deviation_value``).  Exact values
+come in through one door, ``_normalize_coord``.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ Q_SQRT3 = (3,)
 
 _EXACT_COERCIBLE = (int, Fraction)
 
-# largest integer that sqrt_value factors to find a square root's field
-_MAX_FACTORED = 10**9
+# radicands are factored by trial division, so sqrt_value factors, and
+# parse_scalar and scalar_from_json read, only integers up to this size
+MAX_RADICAND = 10**9
 
 
 def _fraction_sqrt(f: Fraction):
@@ -478,10 +481,10 @@ def sqrt_exact(u, field=Q_SQRT3) -> QScalar:
 
     Returns s >= 0 with s*s == u.  Raises NegativeRadicand for u < 0 and
     NotRepresentable when the root exists in the reals but not in the
-    field; the caller names a larger field or refuses, never rounds.
+    field; the caller names a larger field or refuses, never rounds.  A
+    float u raises MixedBackend, any other non-scalar (a string) TypeError.
     """
-    if not isinstance(u, QScalar):
-        u = QScalar(u)
+    u = _normalize_coord(u)
     sg = u.sign()
     if sg < 0:
         raise NegativeRadicand(f"square root of negative value {u}")
@@ -496,30 +499,22 @@ def sqrt_exact(u, field=Q_SQRT3) -> QScalar:
     return s
 
 
-def scalar_sign(s) -> int:
-    if isinstance(s, QScalar):
-        return s.sign()
-    if isinstance(s, _EXACT_COERCIBLE):
-        return (s > 0) - (s < 0)
-    raise TypeError(f"not a scalar: {s!r}")
-
-
 def sqrt_value(s2):
     """Length from an exact squared length; exact in Q(sqrt(3)) or, for a
     rational square, in Q(sqrt(3), sqrt(d)), else a float.
 
-    A float square raises MixedBackend.  Intended for report fields only.
-    Certification decisions go through sqrt_diff_within /
-    compare_deviation, which never take square roots.
+    A float square raises MixedBackend, any other non-scalar TypeError.
+    Intended for report fields only.  Certification decisions go through
+    sqrt_diff_within / compare_deviation, which never take square roots.
     """
+    u = _normalize_coord(s2)
     try:
-        return sqrt_exact(s2)
+        return sqrt_exact(u)
     except NotRepresentable:
-        u = QScalar._coerce(s2)
         pq = u.a.numerator * u.a.denominator
         # sqrt(p/q) = sqrt(p*q)/q, and sqrt(p*q) is an integer times sqrt(d);
         # p*q is factored by trial division, so only while that is quick
-        if u.is_rational and pq <= _MAX_FACTORED:
+        if u.is_rational and pq <= MAX_RADICAND:
             return sqrt_exact(u, (3, _squarefree(pq)[1]))
         return math.sqrt(u.to_float())
 
@@ -537,27 +532,28 @@ def deviation_value(a2, b2):
 def sqrt_diff_within(a2, b2, eps) -> bool:
     """Decide |sqrt(a2) - sqrt(b2)| <= eps using only ring operations.
 
-    a2 and b2 are squared lengths (nonnegative), eps an exact scalar.
+    a2 and b2 are squared lengths (nonnegative), all three QScalars.
     Squaring twice keeps the decision inside the field even when the
     individual lengths have no exact square root.
     """
-    if scalar_sign(eps) < 0:
+    if eps.sign() < 0:
         return False
     lhs = a2 + b2 - eps * eps
     # |sqrt a - sqrt b| <= e  <=>  a + b - e^2 <= 2*sqrt(a*b)
-    if scalar_sign(lhs) <= 0:
+    if lhs.sign() <= 0:
         return True
-    return scalar_sign(lhs * lhs - 4 * (a2 * b2)) <= 0
+    return (lhs * lhs - 4 * (a2 * b2)).sign() <= 0
 
 
 def compare_deviation(a2, c2, b2) -> int:
     """Order |sqrt(a2)-sqrt(b2)| against |sqrt(c2)-sqrt(b2)|.
 
-    Returns -1, 0 or 1.  Tracks the largest deviation from a fixed base
-    squared length b2 without computing square roots.
+    Returns -1, 0 or 1 for QScalar squared lengths.  Tracks the largest
+    deviation from a fixed base squared length b2 without computing square
+    roots.
     """
-    sa = scalar_sign(a2 - b2)
-    sc = scalar_sign(c2 - b2)
+    sa = (a2 - b2).sign()
+    sc = (c2 - b2).sign()
     if sa == 0 and sc == 0:
         return 0
     if sa == 0:
@@ -565,7 +561,7 @@ def compare_deviation(a2, c2, b2) -> int:
     if sc == 0:
         return 1
     if sa == sc:
-        d = scalar_sign(a2 - c2)
+        d = (a2 - c2).sign()
         return d if sa > 0 else -d
     if sa > 0:
         return _compare_mixed(a2, c2, b2)
@@ -576,9 +572,9 @@ def _compare_mixed(hi2, lo2, b2) -> int:
     # hi2 > b2 > lo2: compare sqrt(hi2)+sqrt(lo2) against 2*sqrt(b2),
     # squaring once more to stay in the ring
     m = 4 * b2 - hi2 - lo2
-    if scalar_sign(m) < 0:
+    if m.sign() < 0:
         return 1
-    return scalar_sign(4 * (hi2 * lo2) - m * m)
+    return (4 * (hi2 * lo2) - m * m).sign()
 
 
 @dataclass(frozen=True)
@@ -594,21 +590,24 @@ class Point:
 
     @classmethod
     def exact(cls, x, y) -> "Point":
-        return cls(QScalar._coerce(x) if not isinstance(x, str) else parse_scalar(x),
-                   QScalar._coerce(y) if not isinstance(y, str) else parse_scalar(y))
+        return cls(parse_scalar(x) if isinstance(x, str) else x,
+                   parse_scalar(y) if isinstance(y, str) else y)
 
     def __repr__(self):
         return f"Point({self.x}, {self.y})"
 
 
-def _normalize_coord(v):
+def _normalize_coord(v) -> QScalar:
+    """v as a QScalar: the one way in for an exact scalar, be it a
+    coordinate, a radius, an epsilon or a radicand.  A float raises
+    MixedBackend, any other non-scalar TypeError."""
     if isinstance(v, QScalar):
         return v
     if isinstance(v, _EXACT_COERCIBLE):
         return QScalar(v)
     if isinstance(v, float):
-        raise MixedBackend("bare float coordinate: points are exact")
-    raise TypeError(f"not a coordinate: {v!r}")
+        raise MixedBackend("bare float scalar: every value is exact")
+    raise TypeError(f"not an exact scalar: {v!r}")
 
 
 def point_to_float(p: Point) -> tuple:
@@ -629,22 +628,16 @@ def is_unit(p: Point, q: Point) -> bool:
     return dist2(p, q) == 1
 
 
-def points_equal(p: Point, q: Point) -> bool:
-    return p.x == q.x and p.y == q.y
-
-
 def circle_intersect(c1: Point, r1sq, c2: Point, r2sq, field=Q_SQRT3) -> tuple:
     """Intersection points of two circles given by center and squared radius.
 
     Returns a tuple of 0, 1 or 2 points, lexicographically ordered.  A
-    single point means tangency.  A radius that is no exact scalar (a
-    float, say) raises MixedBackend.  Raises ConcentricCircles for equal
+    single point means tangency.  A float radius raises MixedBackend, any
+    other non-scalar TypeError.  Raises ConcentricCircles for equal
     centers and NotRepresentable when the result needs a square root
     outside `field` (radicands as for sqrt_exact; by default Q(sqrt(3))).
     """
-    r1sq, r2sq = QScalar._coerce(r1sq), QScalar._coerce(r2sq)
-    if r1sq is None or r2sq is None:
-        raise MixedBackend("circle radius is not an exact scalar")
+    r1sq, r2sq = _normalize_coord(r1sq), _normalize_coord(r2sq)
     if r1sq.sign() <= 0 or r2sq.sign() <= 0:
         raise ValueError("circle radii must be positive")
     dx = c2.x - c1.x
@@ -677,10 +670,12 @@ _TERM_RE = re.compile(r"[+-]?(?:[eE][+-]|[^+-])+")
 
 
 def parse_scalar(token: str) -> QScalar:
-    """Parse tokens like '3', '-3/2', 'r3', '1/2r3' or '3/2+1/2r3'.
+    """Parse tokens like '3', '-3/2', 'r3', '1/2r11' or '3/2+1/2r3-r33'.
 
-    'r3' denotes sqrt(3).  Decimal literals such as '1.5', '1e3' or
-    '2.5E-2' are accepted and read exactly as rationals.
+    'r<d>' denotes sqrt(d) for an integer d in 2..MAX_RADICAND, so every
+    token format_scalar prints reads back to its value.  Decimal literals
+    such as '1.5', '1e3' or '2.5E-2' are accepted and read exactly as
+    rationals.
     """
     s = token.replace(" ", "")
     if not s:
@@ -689,10 +684,9 @@ def parse_scalar(token: str) -> QScalar:
     if "".join(terms) != s:
         raise UsageError(f"cannot parse scalar token {token!r}")
     a = Fraction(0)
-    b = Fraction(0)
+    ext = []
     for term in terms:
-        target_b = term.endswith("r3")
-        body = term[:-2] if target_b else term
+        body, root, rad = term.partition("r")
         body = body.rstrip("*")
         if body in ("", "+"):
             coeff = Fraction(1)
@@ -703,16 +697,18 @@ def parse_scalar(token: str) -> QScalar:
                 coeff = Fraction(body)
             except (ValueError, ZeroDivisionError) as exc:
                 raise UsageError(f"cannot parse scalar token {token!r}") from exc
-        if target_b:
-            b += coeff
-        else:
+        if not root:
             a += coeff
-    return QScalar(a, b)
+        elif rad.isascii() and rad.isdigit() and 2 <= int(rad) <= MAX_RADICAND:
+            ext.append((int(rad), coeff))
+        else:
+            raise UsageError(f"a root in {token!r} needs an integer radicand "
+                             f"in 2..{MAX_RADICAND}")
+    return QScalar(a, 0, ext)
 
 
 def format_scalar(q: QScalar) -> str:
-    """Inverse of parse_scalar on Q(sqrt(3)); a further term c*sqrt(d)
-    prints as 'crd', which parse_scalar refuses."""
+    """Inverse of parse_scalar: a term c*sqrt(d) prints as 'crd'."""
     parts = [] if q.a == 0 and not q.is_rational else [str(q.a)]
     for d, c in ((3, q.b), *q.ext):
         if c == 0:

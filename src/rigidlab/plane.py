@@ -20,8 +20,6 @@ from .numeric import (
     circle_intersect,
     dist2,
     is_unit,
-    points_equal,
-    scalar_sign,
     sqrt_exact,
 )
 
@@ -106,9 +104,7 @@ class PointSet:
             return NotImplemented
         if self is other:
             return True
-        return len(self) == len(other) and all(
-            points_equal(p, q) for p, q in zip(self.points, other.points)
-        )
+        return self.points == other.points
 
     def __repr__(self):
         return f"PointSet({len(self.points)} points)"
@@ -224,12 +220,12 @@ def unit_path(frm: Point, to: Point) -> tuple:
     chain needs the gap length itself to lie in Q(sqrt(3)), otherwise
     NotRepresentable propagates.
     """
-    if points_equal(frm, to):
+    if frm == to:
         return (frm,)
     d2 = dist2(frm, to)
     if d2 == 1:
         return (frm, to)
-    if scalar_sign(d2 - 4) <= 0:
+    if (d2 - 4).sign() <= 0:
         return (frm, _apex_between(frm, to), to)
     fa = lattice_coords(frm)
     ta = lattice_coords(to)

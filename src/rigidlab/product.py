@@ -25,15 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bq import GrowResult, grow_witness
+from .bq import GrowResult, _epsilon, grow_witness
 from .errors import InconsistentDistances, NotRepresentable
 from .numeric import (
     SQRT3,
     Point,
     QScalar,
+    _normalize_coord,
     deviation_value,
     dist2,
-    points_equal,
     sqrt_diff_within,
 )
 from .phi import Orientation, OrientationFamily, all_orientations
@@ -131,16 +131,14 @@ def find_conflict_edge(S: Orientation, Z: Orientation) -> ConflictEdge:
 
 def trilaterate(d0sq, d1sq, d2sq) -> Point:
     """The unique plane point at given exact squared distances from p0, p1,
-    p2; a float distance raises MixedBackend.
+    p2; a float distance raises MixedBackend, any other non-scalar
+    TypeError.
 
     The three anchors are not collinear, so the two distance differences
     fix the point linearly; the remaining residual against d0sq decides
     consistency.
     """
-    coerced = [QScalar._coerce(v) for v in (d0sq, d1sq, d2sq)]
-    if any(c is None for c in coerced):
-        raise TypeError("trilaterate needs scalar squared distances")
-    d0, d1, d2 = coerced
+    d0, d1, d2 = (_normalize_coord(v) for v in (d0sq, d1sq, d2sq))
     x = (d0 - d1 + 1) / 2
     y = (d0 - d2 + 1 - x) / SQRT3
     if not (x * x + y * y == d0):
@@ -177,10 +175,13 @@ def witness_case1(x: Point, y: Point, epsilon=None,
     x in it, and its unit graph is connected, since placement_order
     raises NotAnchored on any other, so x already reaches all of it.  x
     and y are exact; a gap with no exact value (see deviation_value)
-    raises NotRepresentable.
+    raises NotRepresentable.  A given epsilon is refused as bq_certify
+    refuses it, before any growth.
     """
-    if points_equal(x, y):
+    if x == y:
         raise ValueError("witness construction requires x != y")
+    if epsilon is not None:
+        epsilon = _epsilon(epsilon)
     anchor_index = next((i for i, corner in enumerate(TRIANGLE)
                          if dist2(corner, x) != dist2(corner, y)), -1)
     if anchor_index < 0:

@@ -39,8 +39,6 @@ from rigidlab.numeric import (
     dist2,
     is_unit,
     point_to_float,
-    points_equal,
-    scalar_sign,
     sqrt_exact,
 )
 from rigidlab.plane import (
@@ -232,9 +230,9 @@ class TestGlueCandidates:
 
 
 def _join_rhombi(ps) -> set:
-    """Canonical keys of the spindle's maps built without a cluster step:
-    each rhombus is enumerated on its own, mirror images kept, and the
-    second is turned about A until |DG| = 1."""
+    """Mirror-invariant keys, of rounded float pairs, of the spindle's maps
+    built without a cluster step: each rhombus is enumerated on its own,
+    mirror images kept, and the second is turned about A until |DG| = 1."""
     halves = []
     for members in ((0, 1, 2, 3), (0, 4, 5, 6)):
         res = enumerate_unit_maps(ps.subset(members), normalize_mirror=False)
@@ -258,7 +256,7 @@ def _join_rhombi(ps) -> set:
                 z = h1 + [w * turn for w in h2[1:]]
                 assert all(abs(abs(z[i] - z[j]) - 1) < 1e-9 for i, j in edges)
                 z = [(w - z[o0]) / (z[o1] - z[o0]) for w in z]
-                # canonical_map_key, read off the float pairs
+                # the mirror-invariant key, read off rounded float pairs
                 keys.add(min(_rounded(z), _rounded([w.conjugate() for w in z])))
     return keys
 
@@ -308,14 +306,14 @@ def reference_unit_maps(T, order=None, branch_limit=DEFAULT_BRANCH_LIMIT, field=
         if step is None:
             imgs = [images[a] for a in order.anchors[k]]
             p, q = next((p, q) for i, p in enumerate(imgs) for q in imgs[i + 1:]
-                        if not points_equal(p, q))
+                        if p != q)
             candidates = circle_intersect(p, 1, q, 1, field)
         else:
             candidates = _glue_candidates(images[step.u], images[step.w], radii[k], field)
         if not candidates:
             count["pruned"] += 1
         for cand in candidates:
-            sign_y = scalar_sign(cand.y)
+            sign_y = cand.y.sign()
             if not off_axis_fixed and sign_y < 0:
                 continue
             count["nodes"] += 1
@@ -537,6 +535,21 @@ class TestSharedSiteTable:
             for field in figures:
                 assert images[field] <= sites[field]
 
+    def test_sites_are_distinct_points(self):
+        # positions are interned by value, so anchor_pair may compare site
+        # numbers: no two sites of a table hold equal points
+        with emptied_tables() as tables:
+            for name in sorted(GADGET_FIGURES):
+                ps = GADGET_FIGURES[name]()
+                try:
+                    enumerate_unit_maps(ps)
+                    naive_unit_maps(ps)
+                except NotAnchored:
+                    continue
+            assert set(tables) == {(3,), (3, 11, 33)}
+            for t in tables.values():
+                assert len(set(t.points)) == len(t.points)
+
 
 class TestEnumeration:
     def test_triangle_single_normalized_map(self):
@@ -587,6 +600,19 @@ class TestEnumeration:
         naive = naive_unit_maps(ps, order)
         assert {canonical_map_key(m) for m in res.maps} == naive
         assert len(res.maps) == len(naive)
+
+    def test_map_key_is_exact(self):
+        # two maps that agree to 9 decimals are still two maps
+        near = Point(Fraction(1, 10**9), 0)
+        assert canonical_map_key((P0, P1)) != canonical_map_key((near, P1))
+        assert canonical_map_key((P0, P1)) == ((QScalar(0), QScalar(0)), (QScalar(1), QScalar(0)))
+
+    @pytest.mark.parametrize("kind", ["rhombus", "moser-spindle"])
+    def test_mirror_images_share_a_key(self, kind):
+        for m in enumerate_unit_maps(gadget(kind).points).maps:
+            mirror = tuple(Point(p.x, -p.y) for p in m)
+            assert mirror != m
+            assert canonical_map_key(mirror) == canonical_map_key(m)
 
 
 class TestCertify:
@@ -745,7 +771,10 @@ class TestGadgets:
             assert all(dist2(m[i], m[j]) == QScalar(1) for i, j in edges)
             assert dist2(m[0], m[3]) == QScalar(3)
         assert {canonical_map_key(m) for m in res.maps} == naive_unit_maps(exact)
-        assert {canonical_map_key(m) for m in res.maps} == _join_rhombi(exact)
+        # the float oracle is compared on keys rounded as it rounds its own
+        floats = [[complex(*point_to_float(p)) for p in m] for m in res.maps]
+        assert ({min(_rounded(z), _rounded([w.conjugate() for w in z])) for z in floats}
+                == _join_rhombi(exact))
 
     def test_unknown_kind(self):
         with pytest.raises(Exception):

@@ -448,12 +448,10 @@ class TestCli:
         assert sampled == [65536]
 
     def test_certify_chain_defaults_to_one_hop(self, capsys):
-        # a chain of two or more hops folds; the default is the one that pins
+        # a chain of two or more hops folds, so certify offers only the one
+        # that pins; --chain-n is no flag at all
         argv = "certify --gadget chain --x A --y B --epsilon 0".split()
         assert self.run(*argv) == 0
-        bare = capsys.readouterr().out
-        assert self.run(*argv, "--chain-n", "1") == 0
-        assert capsys.readouterr().out == bare
         assert self.run(*argv, "--chain-n", "2") == 4
 
     # minimize pool inputs at x = p0: one whose scan outruns the default
@@ -554,6 +552,14 @@ class TestCli:
         doc = load_json(out)
         assert doc["certified"] and doc["max_deviation"] == "0"
         assert doc["backend"] == "exact" and doc["map_count"] == 4
+
+    def test_certify_spindle_by_coordinates(self, capsys):
+        # D = (sqrt(11)/2, -1/2) given as the coordinates format_scalar prints
+        argv = "certify --gadget moser-spindle --x A --y {} --epsilon 0"
+        assert self.run(*argv.format("D").split()) == 0
+        want = capsys.readouterr().out
+        assert self.run(*argv.format("1/2r11,-1/2").split()) == 0
+        assert capsys.readouterr().out == want
 
     def test_certify_refuses_huge_radicand(self, tmp_path):
         path = str(tmp_path / "big.json")

@@ -29,7 +29,6 @@ from rigidlab.numeric import (
     is_unit,
     parse_scalar,
     point_to_float,
-    points_equal,
     sqrt_diff_within,
     sqrt_exact,
     sqrt_value,
@@ -119,6 +118,12 @@ class TestSqrtExact:
     def test_negative(self):
         with pytest.raises(NegativeRadicand):
             sqrt_exact(QScalar(-1))
+
+    def test_string_refused(self):
+        # a string is no exact scalar, not even one that reads as a number
+        for fn in (sqrt_exact, sqrt_value):
+            with pytest.raises(TypeError):
+                fn("2")
 
     def test_sqrt_value_of_rational_square(self):
         # sqrt(7/12) = sqrt(84)/12 = sqrt(21)/6 lies outside Q(sqrt(3))
@@ -273,9 +278,27 @@ class TestMultiquadratic:
             assert abs(total - _dec(cu)) < Decimal("1e-45")
         assert float(_mq(cu)) == pytest.approx(float(_dec(cu)), abs=1e-12)
 
-    def test_parse_refuses_further_roots(self):
+    def test_parse_reads_further_roots(self):
         assert format_scalar(R11 / 2 - R33) == "1/2r11-r33"
-        for bad in ("r11", "1+r33", "1/2r11-r33"):
+        assert parse_scalar("r11") == R11
+        assert parse_scalar("1+r33") == 1 + R33
+        assert parse_scalar("1/2r11-r33") == R11 / 2 - R33
+        # sqrt(12) = 2 sqrt(3) and sqrt(44) = 2 sqrt(11)
+        assert parse_scalar("r12-r44") == 2 * SQRT3 - 2 * R11
+
+    @given(mq_coeffs)
+    def test_format_parse_roundtrip(self, cu):
+        assert parse_scalar(format_scalar(_mq(cu))) == _mq(cu)
+
+    @pytest.mark.parametrize("kind", ["triangle-extension", "rhombus", "chain", "moser-spindle"])
+    def test_gadget_coordinates_roundtrip(self, kind):
+        for p in gadget(kind).points:
+            for c in (p.x, p.y):
+                assert parse_scalar(format_scalar(c)) == c
+
+    def test_radicand_bounds(self):
+        assert parse_scalar("r1000000000") == QScalar(ext=((10**9, 1),))
+        for bad in ("r0", "r1", "r", "r1000000001", "r3.5", "r1e3", "1r2r3"):
             with pytest.raises(UsageError):
                 parse_scalar(bad)
 
@@ -318,6 +341,7 @@ class TestParseFormat:
         ("2.5E-2", QScalar(Fraction(1, 40))),
         ("1e-3+r3", QScalar(Fraction(1, 1000), 1)),
         ("-1e-3r3+2E+1", QScalar(20, Fraction(-1, 1000))),
+        ("1+r2", QScalar(1, 0, ((2, 1),))),
     ])
     def test_parse(self, text, expect):
         assert parse_scalar(text) == expect
@@ -327,7 +351,7 @@ class TestParseFormat:
         assert parse_scalar(format_scalar(u)) == u
 
     def test_garbage(self):
-        for bad in ("", "x", "1+r2", "1//2", "r3r3", "1e", "e-3", "1e+r3"):
+        for bad in ("", "x", "1//2", "r3r3", "1e", "e-3", "1e+r3"):
             with pytest.raises(UsageError):
                 parse_scalar(bad)
 
@@ -381,7 +405,7 @@ class TestCircleIntersect:
         b = Point(QScalar(2), QScalar(0))
         hits = circle_intersect(a, QScalar(1), b, QScalar(1))
         assert len(hits) == 1
-        assert points_equal(hits[0], Point(QScalar(1), QScalar(0)))
+        assert hits[0] == Point(QScalar(1), QScalar(0))
 
     def test_disjoint(self):
         a = Point(QScalar(0), QScalar(0))
@@ -413,9 +437,10 @@ class TestCircleIntersect:
             assert dist2(P0, h) == QScalar(1)
 
     def test_mixed_backend_rejected(self):
-        # either radius: a float or a non-scalar is no exact radius
-        for r1, r2 in ((1.0, 1), ("1", 1)):
-            with pytest.raises(MixedBackend):
+        # either radius: a float is no exact radius, and a non-scalar is no
+        # scalar at all
+        for r1, r2, error in ((1.0, 1, MixedBackend), ("1", 1, TypeError)):
+            with pytest.raises(error):
                 circle_intersect(P0, r1, P1, r2)
 
     def test_exact_hits_round_to_float_geometry(self):

@@ -15,7 +15,7 @@ from rigidlab.errors import (
     MixedBackend,
     NotRepresentable,
 )
-from rigidlab.numeric import Point, QScalar, dist2, points_equal
+from rigidlab.numeric import Point, QScalar, dist2
 from rigidlab.phi import OrientationFamily, count_orientations, orientation_from_bits
 from rigidlab.plane import (
     P0,
@@ -221,7 +221,7 @@ class TestTrilaterate:
     def test_frozen_value(self):
         q = trilaterate(QScalar(1), QScalar(1), QScalar(3))
         expect = Point(QScalar(Fraction(1, 2)), QScalar(0, Fraction(-1, 2)))
-        assert points_equal(q, expect)
+        assert q == expect
 
     def test_known_inconsistent(self):
         with pytest.raises(InconsistentDistances):
@@ -231,7 +231,7 @@ class TestTrilaterate:
     @settings(max_examples=100)
     def test_roundtrip(self, p):
         q = trilaterate(dist2(P0, p), dist2(P1, p), dist2(P2, p))
-        assert points_equal(p, q)
+        assert p == q
 
     @given(lattice_pts)
     @settings(max_examples=40)
@@ -341,6 +341,17 @@ class TestCase1:
     def test_same_point_rejected(self):
         with pytest.raises(ValueError):
             witness_case1(P0, P0)
+
+    def test_given_epsilon_is_exact(self):
+        # a given epsilon enters as a QScalar, so every decision on it is exact
+        x, y = lattice_point(1, 0), Point(QScalar(5), QScalar(0))
+        built = witness_case1(x, y, epsilon=1)
+        assert isinstance(built.epsilon, QScalar) and built.epsilon == 1
+        assert built.strict_exclusion
+        with pytest.raises(MixedBackend):
+            witness_case1(x, y, epsilon=1.0)
+        with pytest.raises(TypeError):
+            witness_case1(x, y, epsilon="1")
 
     def test_verifier_rejects_gutted_witness(self):
         # the singleton {x} induces no pairs at all, so mapping x to y
