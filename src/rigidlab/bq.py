@@ -26,12 +26,14 @@ The enumerations in one field share one site table (_SiteTable), kept
 for the life of the process: every image position gets a number,
 positions interned by value, so distinct sites are distinct points and
 the distinct-anchor test compares site numbers.  The unit test of a
-candidate against an anchor image is computed once per pair of sites,
-the circle intersection of two anchor images once per difference of the
-two.  A braced figure meets few positions many times over, and every
-enumeration places its images in the same frame, so the search repeats
-these decisions at many nodes and across many enumerations but pays for
-each once.
+candidate against an anchor image is computed once per pair of sites.
+Every placement step, two-anchor or glued, takes its candidates from one
+circle meet of the table, computed once per pair of sites and squared
+radius, its circle intersection once per difference of the two sites
+and squared radius.  A braced figure meets few positions many times
+over, and every enumeration places its images in the same frame, so the
+search repeats these decisions at many nodes and across many
+enumerations but pays for each once.
 """
 
 from __future__ import annotations
@@ -249,13 +251,17 @@ class _SiteTable:
     and 1 are the frame's first edge, (0,0)-(1,0) (`origin`), as Points of
     the table's own.
 
-    Two unit circles meet at offsets from the first centre that depend
-    only on the difference d of the centres, so the intersection is
-    computed once per d, about the origin, and translated.  Translation is
-    exact and keeps the lexicographic order, so the points, their order and
-    any NotRepresentable are those of a direct intersection.  Intersection
-    points lie on both circles, so their unit tests against the two
-    centres are recorded as true without computing them.
+    Every placement step reads its candidates from meet(s, t, r): the
+    sites at squared distance r from site s and at unit distance from site
+    t.  A two-anchor step meets its pair at r = 1; a cluster step meets
+    f(u) and f(w) once per radius of its sub-figure.  The two circles meet
+    at offsets from the first centre that depend only on the difference d
+    of the centres and on r, so the intersection is computed once per
+    (d, r), about the origin, and translated.  Translation is exact and
+    keeps the lexicographic order, so the points, their order and any
+    NotRepresentable are those of a direct intersection.  Intersection
+    points lie on both circles, so their unit tests against t, and against
+    s when r = 1, are recorded as true without computing them.
 
     A table serves every enumeration in its field for the life of the
     process (_site_table).  Sharing is sound:
@@ -264,14 +270,12 @@ class _SiteTable:
       and, the mirror quotiented out, its first off-axis image lies above
       the axis.  So the enumerations of a field place their images in one
       coordinate system, and positions recur across them.
-    - Everything the table memoizes depends only on positions and the
-      field: a site's number, by value; its y sign and float pair, by its
-      point; the sites on the unit circles about two sites, by their
-      points and the field (the offsets, by their difference and the
-      field); a unit test, by two points.
-      Nothing is keyed by an enumeration's order, radii or branch limit;
-      the candidates of a cluster step read its radii, so _enumerate
-      keeps them.
+    - Everything the table memoizes depends only on positions, values and
+      the field: a site's number, by value; its y sign and float pair, by
+      its point; the sites of a meet, by the two points, the radius value
+      and the field (the offsets, by the difference of the points, the
+      radius and the field); a unit test, by two points.  Nothing is keyed
+      by an enumeration's order, cluster steps or branch limit.
     - An entry is stored only once its value is computed, so a
       NotRepresentable leaves the table as it was, and a later call
       raises it again.
@@ -285,7 +289,7 @@ class _SiteTable:
     def __init__(self, field):
         self.points = []
         self.floats = []  # float pair of each site's point, a sort key
-        self.y_sign = []  # sign of a candidate site's y coordinate, else None
+        self.y_sign = []  # sign of each site's y coordinate
         self._index = {}
         self._field = field
         self._offsets = {}
@@ -298,23 +302,14 @@ class _SiteTable:
         s = self._index.get(p)
         if s is None:
             s = len(self.points)
-            fp = point_to_float(p)
             self.points.append(p)
-            self.floats.append(fp)
-            self.y_sign.append(None)
+            self.floats.append(point_to_float(p))
+            self.y_sign.append(p.y.sign())
             self._index[p] = s
         return s
 
     def sites_of(self, pts) -> tuple:
         return tuple(self.site(p) for p in pts)
-
-    def candidates(self, pts) -> tuple:
-        """Sites of candidate points, each with its y sign computed once."""
-        out = self.sites_of(pts)
-        for s in out:
-            if self.y_sign[s] is None:
-                self.y_sign[s] = self.points[s].y.sign()
-        return out
 
     def unit(self, s: int, t: int) -> bool:
         key = (s, t)
@@ -323,19 +318,32 @@ class _SiteTable:
             got = self._units[key] = is_unit(self.points[s], self.points[t])
         return got
 
-    def meet(self, s: int, t: int) -> tuple:
-        """Sites on the unit circles about sites s and t."""
-        key = (s, t)
+    def meet(self, s: int, t: int, r=1) -> tuple:
+        """Sites at squared distance r from site s and at unit distance
+        from site t."""
+        key = (s, t, r)
         got = self._meets.get(key)
         if got is None:
-            c, e = self.points[s], self.points[t]
-            d = Point(e.x - c.x, e.y - c.y)
-            offsets = self._offsets.get(d)
-            if offsets is None:
-                offsets = self._offsets[d] = circle_intersect(P0, 1, d, 1, self._field)
-            got = self.candidates([Point(c.x + o.x, c.y + o.y) for o in offsets])
-            for cand in got:
-                self._units[cand, s] = self._units[cand, t] = True
+            if r == 0:
+                got = (s,) if self.unit(s, t) else ()
+            elif s == t:
+                if r == 1:
+                    raise NotAnchored(
+                        "a glued vertex's two circles coincide; its candidate "
+                        "positions form a whole circle and cannot be enumerated"
+                    )
+                got = ()  # concentric circles of different radii meet nowhere
+            else:
+                c, e = self.points[s], self.points[t]
+                d = Point(e.x - c.x, e.y - c.y)
+                offsets = self._offsets.get((d, r))
+                if offsets is None:
+                    offsets = self._offsets[d, r] = circle_intersect(P0, r, d, 1, self._field)
+                got = self.sites_of([Point(c.x + o.x, c.y + o.y) for o in offsets])
+                for cand in got:
+                    self._units[cand, t] = True
+                    if r == 1:
+                        self._units[cand, s] = True
             self._meets[key] = got
         return got
 
@@ -365,23 +373,18 @@ def _site_table(field) -> _SiteTable:
 
 
 def enumerate_unit_maps(T: PointSet, order: PlacementOrder = None,
-                        branch_limit: int = DEFAULT_BRANCH_LIMIT,
-                        normalize_mirror: bool = True,
-                        prune_anchors: bool = True) -> UnitMapResult:
+                        branch_limit: int = DEFAULT_BRANCH_LIMIT) -> UnitMapResult:
     """Every unit-preserving map of T into the plane, one per isometry class.
 
-    With normalize_mirror=False the reflection is not quotiented out, and
-    with prune_anchors=False only the two intersection anchors constrain a
-    placement; the naive oracle uses both relaxations together with full
-    leaf revalidation.  The nodes and prunes of cluster sub-figures count
-    toward the result's totals and its branch limit; a limit below 0
-    raises ValueError (a limit of 0 still enumerates a unit edge, which
-    needs no node).
+    The nodes and prunes of cluster sub-figures count toward the result's
+    totals and its branch limit; a limit below 0 raises ValueError (a
+    limit of 0 still enumerates a unit edge, which needs no node).
 
     `nodes` and `pruned` count search nodes, not arithmetic: intersections
     and unit tests come from a site table, computed at most once per pair
-    of image positions (an intersection once per difference of the two),
-    so a node that meets a known pair costs no field operation.  An
+    of image positions (an intersection once per difference of the two
+    and squared radius), so a node that meets a known pair costs no field
+    operation.  A glued vertex's candidates come from the same table.  An
     enumeration shares its field's table with every earlier one in the
     process, so a position met before costs none either.  Maps share the
     Point object of each position, across enumerations too.
@@ -389,7 +392,7 @@ def enumerate_unit_maps(T: PointSet, order: PlacementOrder = None,
     _check_branch_limit(branch_limit)
     if order is None:
         order = placement_order(T)
-    return _enumerate(T, order, branch_limit, normalize_mirror, prune_anchors, _field_of(T))
+    return _enumerate(T, order, branch_limit, _field_of(T), naive=False)
 
 
 def _check_branch_limit(branch_limit) -> None:
@@ -411,26 +414,7 @@ def _distinct(values) -> list:
     return sorted(dict.fromkeys(values), key=float)
 
 
-def _glue_candidates(cu: Point, cw: Point, radii, field) -> list:
-    """Points at squared distance r from cu for some r in radii, and at unit
-    distance from cw."""
-    out = []
-    for r in radii:
-        if r.sign() == 0:
-            if is_unit(cu, cw):
-                out.append(cu)
-        elif cu != cw:
-            out.extend(circle_intersect(cu, r, cw, 1, field))
-        elif r == 1:
-            raise NotAnchored(
-                "a glued vertex's two circles coincide; its candidate "
-                "positions form a whole circle and cannot be enumerated"
-            )
-        # concentric circles of different radii meet nowhere
-    return out
-
-
-def _enumerate(T, order, branch_limit, normalize_mirror, prune_anchors, field):
+def _enumerate(T, order, branch_limit, field, naive):
     n = len(T)
     images = [None] * n
     maps = []
@@ -443,8 +427,7 @@ def _enumerate(T, order, branch_limit, normalize_mirror, prune_anchors, field):
     for k, step in enumerate(order.clusters):
         if step is None:
             continue
-        sub = _enumerate(T.subset(step.members), step.order, branch_limit,
-                         normalize_mirror, prune_anchors, field)
+        sub = _enumerate(T.subset(step.members), step.order, branch_limit, field, naive)
         stats["nodes"] += sub.nodes
         stats["pruned"] += sub.pruned
         if sub.truncated:
@@ -454,7 +437,6 @@ def _enumerate(T, order, branch_limit, normalize_mirror, prune_anchors, field):
         radii[k] = _distinct(dist2(m[iu], m[iv]) for m in sub.maps)
 
     sites = _site_table(field)
-    glued = {}  # (k, u, w) -> candidate sites; they read this enumeration's radii
     o0, o1 = order.order[0], order.order[1]
     images[o0], images[o1] = sites.origin
 
@@ -476,23 +458,20 @@ def _enumerate(T, order, branch_limit, normalize_mirror, prune_anchors, field):
             candidates = sites.meet(*pair)
         else:
             u, w = images[step.u], images[step.w]
-            candidates = glued.get((k, u, w))
-            if candidates is None:
-                candidates = glued[k, u, w] = sites.candidates(_glue_candidates(
-                    sites.points[u], sites.points[w], radii[k], field))
+            candidates = [c for r in radii[k] for c in sites.meet(u, w, r)]
         if not candidates:
             stats["pruned"] += 1
             return
         for cand in candidates:
             sign_y = sites.y_sign[cand]
-            if normalize_mirror and not off_axis_fixed and sign_y < 0:
+            if not naive and not off_axis_fixed and sign_y < 0:
                 # mirror image of the positive-y branch, not a contradiction
                 continue
             stats["nodes"] += 1
             if branch_limit is not None and stats["nodes"] > branch_limit:
                 stats["truncated"] = True
                 return
-            if prune_anchors and not all(sites.unit(cand, images[a])
+            if not naive and not all(sites.unit(cand, images[a])
                                          for a in order.anchors[k]):
                 stats["pruned"] += 1
                 continue
@@ -606,14 +585,17 @@ def naive_unit_maps(T: PointSet, order: PlacementOrder = None,
 
     Returns the set of canonical map keys; the normalized engine must
     produce exactly the same set (criterion: completeness of enumeration).
-    A cluster step is shared with the engine, radii and candidates alike,
-    so for glued figures the oracle checks pruning and mirroring only.  It
-    decides is_unit itself, never through the engine's site table.
+    Only the two intersection anchors constrain a placement; every other
+    unit edge is checked at the leaves, never through the engine's site
+    table.  The branch limit counts and is refused as in
+    enumerate_unit_maps.  A cluster step is shared with the engine, radii
+    and candidates alike, so for glued figures the oracle checks pruning
+    and mirroring only.
     """
+    _check_branch_limit(branch_limit)
     if order is None:
         order = placement_order(T)
-    raw = enumerate_unit_maps(T, order=order, branch_limit=branch_limit,
-                              normalize_mirror=False, prune_anchors=False)
+    raw = _enumerate(T, order, branch_limit, _field_of(T), naive=True)
     if raw.truncated:
         raise BudgetExhausted("naive enumeration exceeded its branch limit", partial=raw)
     edges = unit_graph(T)

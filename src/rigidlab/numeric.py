@@ -673,9 +673,10 @@ def parse_scalar(token: str) -> QScalar:
     """Parse tokens like '3', '-3/2', 'r3', '1/2r11' or '3/2+1/2r3-r33'.
 
     'r<d>' denotes sqrt(d) for an integer d in 2..MAX_RADICAND, so every
-    token format_scalar prints reads back to its value.  Decimal literals
-    such as '1.5', '1e3' or '2.5E-2' are accepted and read exactly as
-    rationals.
+    token format_scalar prints reads back to its value; one '*' may join
+    a coefficient to its root, as in '2*r3', and is refused anywhere
+    else.  Decimal literals such as '1.5', '1e3' or '2.5E-2' are accepted
+    and read exactly as rationals.
     """
     s = token.replace(" ", "")
     if not s:
@@ -687,7 +688,10 @@ def parse_scalar(token: str) -> QScalar:
     ext = []
     for term in terms:
         body, root, rad = term.partition("r")
-        body = body.rstrip("*")
+        if body.endswith("*"):
+            body = body[:-1]
+            if not root or body in ("", "+", "-"):
+                raise UsageError(f"cannot parse scalar token {token!r}")
         if body in ("", "+"):
             coeff = Fraction(1)
         elif body == "-":

@@ -559,18 +559,6 @@ def neighbours(s: RelStruct) -> list:
     return [(out | into) & ~(1 << v) for v, (out, into) in enumerate(zip(succ, pred))]
 
 
-def is_connected_within(s: RelStruct, subset) -> bool:
-    """Whether the pairs inside `subset`, taken as undirected edges,
-    connect it; the empty subset counts as connected."""
-    mask = 0
-    for v in subset:
-        mask |= 1 << v
-    if not mask:
-        return True
-    start = (mask & -mask).bit_length() - 1
-    return component(neighbours(s), start, mask) == mask
-
-
 def component(nbrs, x: int, within: int) -> int:
     """Bitmask of x's component in the graph the neighbour masks `nbrs`
     induce on the elements of the bitmask `within`."""

@@ -1,4 +1,4 @@
-"""Figures shared by several test modules."""
+"""Figures and helpers shared by several test modules."""
 
 from fractions import Fraction
 
@@ -6,6 +6,19 @@ import pytest
 
 from rigidlab.numeric import Point, QScalar, circle_intersect
 from rigidlab.plane import PointSet, lattice_ball, lattice_point
+from rigidlab.relations import RelStruct, component, neighbours
+
+
+def is_connected_within(s: RelStruct, subset) -> bool:
+    """Whether the pairs inside `subset`, taken as undirected edges,
+    connect it; the empty subset counts as connected."""
+    mask = 0
+    for v in subset:
+        mask |= 1 << v
+    if not mask:
+        return True
+    start = (mask & -mask).bit_length() - 1
+    return component(neighbours(s), start, mask) == mask
 
 
 def _turned(a: Point, t: Point) -> Point:

@@ -15,7 +15,7 @@ from rigidlab.bq import (
     DEFAULT_BRANCH_LIMIT,
     _braced,
     _distinct,
-    _glue_candidates,
+    _SiteTable,
     bq_certify,
     canonical_map_key,
     enumerate_unit_maps,
@@ -211,33 +211,42 @@ placement_figures = st.one_of(
 
 
 class TestGlueCandidates:
-    """The branches of a cluster step's placement that the spindle never
+    """The branches of a cluster step's circle meet that the spindle never
     reaches: there |AG|^2 is 3 or 0 and D is never at unit distance from A."""
 
     def test_zero_radius_places_on_u(self):
-        assert _glue_candidates(P0, P1, [QScalar(0)], (3,)) == [P0]
-        assert _glue_candidates(P0, lattice_point(2, 0), [QScalar(0)], (3,)) == []
+        sites = _SiteTable((3,))
+        p0, p1, p2 = sites.sites_of((P0, P1, lattice_point(2, 0)))
+        assert sites.meet(p0, p1, QScalar(0)) == (p0,)
+        assert sites.meet(p0, p2, QScalar(0)) == ()
 
     def test_coincident_centres(self):
+        sites = _SiteTable((3,))
+        p0 = sites.site(P0)
+        assert sites.meet(p0, p0, QScalar(0)) == ()
         with pytest.raises(NotAnchored):
-            _glue_candidates(P0, P0, [QScalar(0), QScalar(1)], (3,))
-        assert _glue_candidates(P0, P0, [QScalar(3)], (3,)) == []
+            sites.meet(p0, p0, QScalar(1))
+        assert sites.meet(p0, p0, QScalar(3)) == ()
 
     def test_radii_union(self):
-        got = _glue_candidates(P0, P1, [QScalar(0), QScalar(1), QScalar(3)], (3,))
-        assert len(got) == 5 and got[0] == P0
-        assert all(dist2(p, P1) == 1 for p in got)
+        sites = _SiteTable((3,))
+        p0, p1 = sites.sites_of((P0, P1))
+        got = [c for r in (QScalar(0), QScalar(1), QScalar(3)) for c in sites.meet(p0, p1, r)]
+        assert len(got) == 5 and got[0] == p0
+        assert all(dist2(sites.points[c], P1) == 1 for c in got)
 
 
 def _join_rhombi(ps) -> set:
     """Mirror-invariant keys, of rounded float pairs, of the spindle's maps
     built without a cluster step: each rhombus is enumerated on its own,
-    mirror images kept, and the second is turned about A until |DG| = 1."""
+    its mirror images added, and the second is turned about A until
+    |DG| = 1."""
     halves = []
     for members in ((0, 1, 2, 3), (0, 4, 5, 6)):
-        res = enumerate_unit_maps(ps.subset(members), normalize_mirror=False)
-        halves.append([[complex(*point_to_float(p)) - complex(*point_to_float(m[0]))
-                        for p in m] for m in res.maps])
+        res = enumerate_unit_maps(ps.subset(members))
+        maps = [[complex(*point_to_float(p)) - complex(*point_to_float(m[0]))
+                 for p in m] for m in res.maps]
+        halves.append(maps + [[w.conjugate() for w in m] for m in maps])
     o0, o1 = placement_order(ps).order[:2]
     edges = unit_graph(ps)
     keys = set()
@@ -309,7 +318,16 @@ def reference_unit_maps(T, order=None, branch_limit=DEFAULT_BRANCH_LIMIT, field=
                         if p != q)
             candidates = circle_intersect(p, 1, q, 1, field)
         else:
-            candidates = _glue_candidates(images[step.u], images[step.w], radii[k], field)
+            cu, cw = images[step.u], images[step.w]
+            candidates = []
+            for r in radii[k]:
+                if r.sign() == 0:
+                    if is_unit(cu, cw):
+                        candidates.append(cu)
+                elif cu != cw:
+                    candidates += circle_intersect(cu, r, cw, 1, field)
+                elif r == 1:
+                    raise NotAnchored("a glued vertex's two circles coincide")
         if not candidates:
             count["pruned"] += 1
         for cand in candidates:
@@ -355,6 +373,22 @@ def _assert_matches_reference(ps, branch_limit=DEFAULT_BRANCH_LIMIT, runs=1):
         assert ([[point_to_float(p) for p in m] for m in res.maps]
                 == [[point_to_float(p) for p in m] for m in maps])
     return res
+
+
+def _counted_arithmetic(monkeypatch) -> dict:
+    """Calls of bq's circle_intersect and is_unit, by name, counted from
+    now on."""
+    count = {}
+
+    def counted(fn):
+        def wrapped(*args):
+            count[fn.__name__] = count.get(fn.__name__, 0) + 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(bq, "circle_intersect", counted(circle_intersect))
+    monkeypatch.setattr(bq, "is_unit", counted(is_unit))
+    return count
 
 
 @contextmanager
@@ -434,16 +468,7 @@ class TestReferenceEnumerator:
         # anchor images, and no unit test of a candidate against the centres
         # it was met from; a second enumeration finds every position in the
         # field's shared table and pays nothing
-        count = {}
-
-        def counted(fn):
-            def wrapped(*args):
-                count[fn.__name__] = count.get(fn.__name__, 0) + 1
-                return fn(*args)
-            return wrapped
-
-        monkeypatch.setattr(bq, "circle_intersect", counted(circle_intersect))
-        monkeypatch.setattr(bq, "is_unit", counted(is_unit))
+        count = _counted_arithmetic(monkeypatch)
         T = _ladder(lattice_point(*y), k)
         with emptied_tables():
             for want in (calls, (0, 0)):
@@ -485,6 +510,19 @@ class TestSharedSiteTable:
         with emptied_tables():
             res = _assert_matches_reference(ps, branch_limit=limit, runs=2)
             assert res.truncated == (limit < enumerate_unit_maps(ps).nodes)
+
+    def test_spindle_glue_meets_are_shared(self, monkeypatch):
+        # the glued vertex's meets are the table's too, so a second
+        # enumeration of the spindle computes no arithmetic at all
+        count = _counted_arithmetic(monkeypatch)
+        ps = ORACLE_FIGURES["spindle-exact"]()
+        with emptied_tables():
+            first = enumerate_unit_maps(ps)
+            assert count.get("circle_intersect", 0) > 0
+            count.clear()
+            second = enumerate_unit_maps(ps)
+            assert count == {}
+        assert second == first
 
     def test_not_representable_leaves_table(self, spindle_braced_ball1):
         # the spindle's side vertices have y = +-sqrt(33)/12: one field
@@ -691,6 +729,55 @@ class TestCertify:
         # figure gets an exact certificate or none, never a float one
         with pytest.raises(NotRepresentable):
             bq_certify(spindle_braced_ball1, 0, 1, QScalar(0))
+
+
+def _isometries():
+    """The 24 lattice isometries: 6 rotations by multiples of 60 degrees,
+    each with and without a mirror about the x axis, then a translation
+    by 0 or by lattice_point(2, -1)."""
+    c, s = QScalar(Fraction(1, 2)), SQRT3 / 2  # cos and sin of 60 degrees
+    out = []
+    for turns in range(6):
+        for mirror in (False, True):
+            for shift in (P0, lattice_point(2, -1)):
+                def move(p, turns=turns, mirror=mirror, shift=shift):
+                    x, y = p.x, -p.y if mirror else p.y
+                    for _ in range(turns):
+                        x, y = c * x - s * y, s * x + c * y
+                    return Point(x + shift.x, y + shift.y)
+                out.append(move)
+    return out
+
+
+class TestIsometryInvariance:
+    """A certificate is a property of the figure up to isometry: every
+    lattice isometry of a gadget gets the same report.  The spindle's
+    images lie in Q(sqrt(3), sqrt(11), sqrt(33)), a table apart from the
+    other gadgets', and its glued vertex meets at squared radii other
+    than 1."""
+
+    @pytest.mark.parametrize("kind,x,y,eps", [
+        ("triangle-extension", "A", "C", 0),
+        ("rhombus", "A", "D", 1),
+        ("chain", "A", "B", 0),
+        ("moser-spindle", "A", "D", 0),
+    ])
+    def test_reports_equal(self, kind, x, y, eps):
+        g = gadget(kind)
+        xi, yi = g.labeled_index(x), g.labeled_index(y)
+
+        def report(ps):
+            rep = bq_certify(ps, xi, yi, QScalar(eps))
+            return (rep.certified, rep.max_deviation, rep.map_count,
+                    rep.branch_count, rep.pruned_contradictions)
+
+        want = report(g.points)
+        moves = _isometries()
+        assert len(moves) == 24
+        for move in moves:
+            moved = PointSet([move(p) for p in g.points])
+            assert dist2(moved[xi], moved[yi]) == dist2(g.points[xi], g.points[yi])
+            assert report(moved) == want
 
 
 class TestGadgets:

@@ -308,6 +308,8 @@ class TestCli:
         "certify --gadget rhombus --x A --y D --epsilon 1 --branch-limit -1",
         "witness --kind case1 --x 2,0 --y 6,0 --epsilon -1",
         "certify --gadget rhombus --x A --y D --epsilon -1",
+        # a '*' that joins no coefficient to a root is garbage, not 1
+        "certify --gadget rhombus --x A --y D --epsilon *",
     ])
     def test_rejected_arguments_exit_usage(self, argv, capsys):
         assert self.run(*argv.split()) == 4
@@ -544,6 +546,9 @@ class TestCli:
                         "--y", "D", "--epsilon", "r3", "--out", out) == 0
         assert self.run("certify", "--gadget", "rhombus", "--x", "A",
                         "--y", "D", "--epsilon", "1", "--out", out) == 2
+        # 2*sqrt(3) >= sqrt(3)
+        assert self.run("certify", "--gadget", "rhombus", "--x", "A",
+                        "--y", "D", "--epsilon", "2*r3", "--out", out) == 0
 
     def test_certify_exact_spindle(self, tmp_path):
         out = str(tmp_path / "s.json")

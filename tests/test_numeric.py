@@ -342,6 +342,8 @@ class TestParseFormat:
         ("1e-3+r3", QScalar(Fraction(1, 1000), 1)),
         ("-1e-3r3+2E+1", QScalar(20, Fraction(-1, 1000))),
         ("1+r2", QScalar(1, 0, ((2, 1),))),
+        ("2*r3", QScalar(0, 2)),
+        ("-1/2*r11", QScalar(0, 0, ((11, Fraction(-1, 2)),))),
     ])
     def test_parse(self, text, expect):
         assert parse_scalar(text) == expect
@@ -351,7 +353,9 @@ class TestParseFormat:
         assert parse_scalar(format_scalar(u)) == u
 
     def test_garbage(self):
-        for bad in ("", "x", "1//2", "r3r3", "1e", "e-3", "1e+r3"):
+        # '*' only joins a coefficient to its root
+        for bad in ("", "x", "1//2", "r3r3", "1e", "e-3", "1e+r3",
+                    "*", "2*", "3/2**", "2**r3", "*r3"):
             with pytest.raises(UsageError):
                 parse_scalar(bad)
 

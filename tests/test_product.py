@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import is_connected_within
 from rigidlab.acceptance import _ball1_orientation_pair
 from rigidlab.errors import (
     BudgetExhausted,
@@ -37,7 +38,7 @@ from rigidlab.product import (
     witness_case1,
     witness_case2,
 )
-from rigidlab.relations import RelStruct, WitnessSet, check_witness, is_connected_within
+from rigidlab.relations import RelStruct, WitnessSet, check_witness
 
 lattice_pts = st.builds(lattice_point, st.integers(-6, 6), st.integers(-6, 6))
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import is_connected_within
 from rigidlab import acceptance, phi, plane, product, relations
 from rigidlab.errors import NoWitnessExists
 from rigidlab.relations import (
@@ -678,7 +679,7 @@ def _connected_masks(s, x, last):
             number += 1
             if number > last:
                 return out
-            if relations.is_connected_within(s, (x,) + rest):
+            if is_connected_within(s, (x,) + rest):
                 out.append(sum(1 << v for v in (x,) + rest))
     return out
 
