@@ -27,6 +27,10 @@ for the life of the process: every image position gets a number,
 positions interned by value, so distinct sites are distinct points and
 the distinct-anchor test compares site numbers.  The unit test of a
 candidate against an anchor image is computed once per pair of sites.
+The unit graph of a set on the verdict path (unit_edges: the placement
+order's, and the case-1 universe's) reads the same memo: its points are
+interned as sites too, and a unit test between T's own points depends on
+the two points' values only, so a set met again costs no unit test.
 Every placement step, two-anchor or glued, takes its candidates from one
 circle meet of the table, computed once per pair of sites and squared
 radius, its circle intersection once per difference of the two sites
@@ -195,8 +199,8 @@ def placement_order(T: PointSet) -> PlacementOrder:
         raise ValueError("empty point set")
     if n == 1:
         return PlacementOrder((0,), ((),))
-    edges = unit_graph(T)
-    # unit_graph's pairs are sorted, unique and in range
+    edges = unit_edges(T)
+    # unit_edges' pairs are sorted, unique and in range
     nbrs = neighbours(RelStruct(n, edges, canonical=True))
     full = (1 << n) - 1
     if component(nbrs, 0, full) != full:
@@ -276,6 +280,9 @@ class _SiteTable:
       and the field (the offsets, by the difference of the points, the
       radius and the field); a unit test, by two points.  Nothing is keyed
       by an enumeration's order, cluster steps or branch limit.
+    - A unit test between T's own points (unit_edges) depends on the two
+      points' values only, as one between images does, so T's points
+      share sites and memo entries with equal images.
     - An entry is stored only once its value is computed, so a
       NotRepresentable leaves the table as it was, and a later call
       raises it again.
@@ -288,7 +295,7 @@ class _SiteTable:
 
     def __init__(self, field):
         self.points = []
-        self.floats = []  # float pair of each site's point, a sort key
+        self.floats = []  # float pair of each site's point, a sort key; None until read
         self.y_sign = []  # sign of each site's y coordinate
         self._index = {}
         self._field = field
@@ -303,13 +310,21 @@ class _SiteTable:
         if s is None:
             s = len(self.points)
             self.points.append(p)
-            self.floats.append(point_to_float(p))
+            self.floats.append(None)
             self.y_sign.append(p.y.sign())
             self._index[p] = s
         return s
 
     def sites_of(self, pts) -> tuple:
         return tuple(self.site(p) for p in pts)
+
+    def float_pair(self, s: int) -> tuple:
+        """Float pair of site s's point, computed when a sort first reads
+        it: the points unit_edges interns are mostly never images."""
+        got = self.floats[s]
+        if got is None:
+            got = self.floats[s] = point_to_float(self.points[s])
+        return got
 
     def unit(self, s: int, t: int) -> bool:
         key = (s, t)
@@ -357,8 +372,9 @@ class _SiteTable:
         return None
 
 
-# an enumeration that finds its field's table past this many sites starts
-# a fresh one, so a long-lived process holds a bounded table per field
+# an enumeration that finds its field's table past this many sites or
+# memoized unit tests starts a fresh one, so a long-lived process holds a
+# bounded table per field
 _SITE_LIMIT = 1 << 16
 _TABLES = {}  # field -> the _SiteTable its enumerations share
 
@@ -367,9 +383,26 @@ def _site_table(field) -> _SiteTable:
     """The site table shared by the enumerations in `field`.  The tables
     take no lock: the package enumerates on one thread."""
     table = _TABLES.get(field)
-    if table is None or len(table.points) > _SITE_LIMIT:
+    if table is None or max(len(table.points), len(table._units)) > _SITE_LIMIT:
         table = _TABLES[field] = _SiteTable(field)
     return table
+
+
+def unit_edges(T: PointSet) -> tuple:
+    """All unit-distance pairs (i, j), i < j, of T, sorted: the edges of
+    plane.unit_graph, each unit test read from the site table of T's field.
+
+    T's points are interned as sites, and the table's memo decides each
+    ordered pair of sites once for its life, so a set met again, or the
+    pairs a set shares with one met before, cost no field operation.  A
+    unit test depends on the two points' values only, so the edges are
+    those of the all-pairs loop, in its order.
+    """
+    table = _site_table(_field_of(T))
+    sites = table.sites_of(T)
+    unit = table.unit
+    return tuple((i, j) for i, s in enumerate(sites)
+                 for j in range(i + 1, len(sites)) if unit(s, sites[j]))
 
 
 def enumerate_unit_maps(T: PointSet, order: PlacementOrder = None,
@@ -483,8 +516,8 @@ def _enumerate(T, order, branch_limit, field, naive):
 
     place(2, False)
     # lexicographic by the images' float coordinates; the sort is stable
-    points, floats = sites.points, sites.floats
-    maps.sort(key=lambda m: tuple(floats[s] for s in m))
+    points, float_pair = sites.points, sites.float_pair
+    maps.sort(key=lambda m: tuple(map(float_pair, m)))
     return UnitMapResult(tuple(tuple(points[s] for s in m) for m in maps),
                          stats["nodes"], stats["pruned"], stats["truncated"])
 
@@ -587,7 +620,8 @@ def naive_unit_maps(T: PointSet, order: PlacementOrder = None,
     produce exactly the same set (criterion: completeness of enumeration).
     Only the two intersection anchors constrain a placement; every other
     unit edge is checked at the leaves, never through the engine's site
-    table.  The branch limit counts and is refused as in
+    table: the edges come from plane.unit_graph, not unit_edges.  The
+    branch limit counts and is refused as in
     enumerate_unit_maps.  A cluster step is shared with the engine, radii
     and candidates alike, so for glued figures the oracle checks pruning
     and mirroring only.

@@ -31,7 +31,7 @@ from .export import (
     unitgraph_to_dot,
     write_text_atomic,
 )
-from .numeric import Point, parse_scalar, point_to_float
+from .numeric import Point, format_scalar, parse_scalar
 from .phi import (
     OrientationFamily,
     all_orientations,
@@ -373,7 +373,7 @@ def _cmd_certify(args) -> int:
         "backend": report.backend,
         "counterexample": (
             None if report.counterexample is None
-            else [list(point_to_float(p)) for p in report.counterexample]
+            else [[format_scalar(p.x), format_scalar(p.y)] for p in report.counterexample]
         ),
     }
     _emit(dumps_canonical(_report("certify", args, body)), args)

@@ -19,7 +19,9 @@ by construction otherwise.  `Orientation(base, pairs)`, which the export
 readers and user input reach, runs `check_phi` and with it `unit_graph`.
 `all_orientations` and `sample_orientations` build through `_admissible`
 with no check, so `unit_graph` runs once per call of theirs, to list the
-free edges that every orientation of the call shares.
+free edges that every orientation of the call shares.  The case-1 witness
+builds through `_admissible` too, its free edges read from the site table
+of `bq.unit_edges`, so it runs no `unit_graph` at all.
 `orientation_from_bits` lists them and then checks its result, so it runs
 `unit_graph` twice.  Everything else reads an orientation's unit edges
 off its pairs taken undirected, which clause 1 makes exactly the unit
@@ -147,9 +149,11 @@ def _oriented_pairs(forced: tuple, free: tuple, bits: int) -> tuple:
 def _admissible(base: PointSet, forced: tuple, free: tuple, bits: int) -> Orientation:
     """The orientation of base that bits selects, built without check_phi.
 
-    forced must be _forced_pairs(base) and free _free_edges(base); bits
-    may be any integer, and only its low len(free) bits are read.  The
-    pairs are then admissible, as check_phi would find:
+    forced must be _forced_pairs(base), and free must list
+    unit_graph(base)'s non-triangle edges in its sorted order, as
+    _free_edges(base) does and as bq.unit_edges gives them from the site
+    table; bits may be any integer, and only its low len(free) bits are
+    read.  The pairs are then admissible, as check_phi would find:
 
     - In range and unique: the triangle indices and unit_graph's edges
       index base, unit_graph lists each edge once, and no free edge is a
@@ -184,7 +188,10 @@ def orientation_from_bits(base: PointSet, bits: int) -> Orientation:
     the bench's case2_ball and minimize workloads, and faster generation
     lets case2_ball reach more of its no-witness rounds, which the bench
     counts as failures.  Its re-check is dropped once the bench counts
-    those rounds apart (ROADMAP, open items 1 and 3).
+    those rounds apart (ROADMAP, open items 1 and 3).  For the same
+    reason it lists its free edges with unit_graph, testing every pair,
+    and not from bq.unit_edges' site table, which the case-1 verdict path
+    reads: a warm table would make generation faster too.
     """
     free = _free_edges(base)
     if not 0 <= bits < (1 << len(free)):

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bq import GrowResult, _epsilon, grow_witness
+from .bq import GrowResult, _epsilon, grow_witness, unit_edges
 from .errors import InconsistentDistances, NotRepresentable
 from .numeric import (
     SQRT3,
@@ -36,7 +36,7 @@ from .numeric import (
     dist2,
     sqrt_diff_within,
 )
-from .phi import Orientation, OrientationFamily, all_orientations
+from .phi import Orientation, OrientationFamily, _admissible, _forced_pairs, _norm_edge
 from .plane import TRIANGLE, PointSet
 from .relations import (RelStruct, WitnessCheck, WitnessSet, component, enumerate_homs,
                         neighbours)
@@ -106,7 +106,7 @@ def find_conflict_edge(S: Orientation, Z: Orientation) -> ConflictEdge:
     and i -> j alone by S, since S doubles no edge Z leaves single: the
     pairs of S minus those of Z are exactly the conflict edges, each
     directed as S directs it.  The least (min(i, j), max(i, j)) among them
-    comes first in the order of unit_graph(S.base).
+    comes first in the sorted order of the base's unit edges.
 
     Those pairs are read off the members' masks: the pairs of S minus Z
     leaving i are succ_S[i] & ~succ_Z[i], and those entering i
@@ -199,9 +199,13 @@ def witness_case1(x: Point, y: Point, epsilon=None,
     witness_points = PointSet(list(TRIANGLE) + list(grow.points))
     universe = witness_points.with_points([y])
 
-    # bits 0, every free edge low to high: the first orientation listed,
-    # admissible by construction, so unit_graph(universe) runs once
-    S = next(all_orientations(universe))
+    # bits 0, every free edge low to high: the first orientation that
+    # all_orientations lists, admissible by construction, its unit edges
+    # read from the site table that grow_witness's enumerations filled
+    forced = _forced_pairs(universe)
+    triangle = {_norm_edge(i, j) for i, j in forced}
+    free = tuple(e for e in unit_edges(universe) if e not in triangle)
+    S = _admissible(universe, forced, free, 0)
     P = build_product(universe, OrientationFamily(universe, (S,)))
     elements = tuple(sorted(
         P.element(universe.index_of(p), 0) for p in witness_points

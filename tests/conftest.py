@@ -1,9 +1,11 @@
 """Figures and helpers shared by several test modules."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
+from rigidlab import bq
 from rigidlab.numeric import Point, QScalar, circle_intersect
 from rigidlab.plane import PointSet, lattice_ball, lattice_point
 from rigidlab.relations import RelStruct, component, neighbours
@@ -19,6 +21,18 @@ def is_connected_within(s: RelStruct, subset) -> bool:
         return True
     start = (mask & -mask).bit_length() - 1
     return component(neighbours(s), start, mask) == mask
+
+
+@contextmanager
+def emptied_tables():
+    """The exact enumerations inside start from no shared site table; the
+    tables of the session are put back afterwards."""
+    saved = bq._TABLES
+    bq._TABLES = {}
+    try:
+        yield bq._TABLES
+    finally:
+        bq._TABLES = saved
 
 
 def _turned(a: Point, t: Point) -> Point:

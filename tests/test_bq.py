@@ -3,13 +3,14 @@
 import cmath
 import hashlib
 import itertools
-from contextlib import contextmanager
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import emptied_tables
 from rigidlab import bq
 from rigidlab.bq import (
     DEFAULT_BRANCH_LIMIT,
@@ -23,6 +24,7 @@ from rigidlab.bq import (
     grow_witness,
     naive_unit_maps,
     placement_order,
+    unit_edges,
 )
 from rigidlab.errors import (
     BudgetExhausted,
@@ -391,18 +393,6 @@ def _counted_arithmetic(monkeypatch) -> dict:
     return count
 
 
-@contextmanager
-def emptied_tables():
-    """The exact enumerations inside start from no shared site table; the
-    tables of the session are put back afterwards."""
-    saved = bq._TABLES
-    bq._TABLES = {}
-    try:
-        yield bq._TABLES
-    finally:
-        bq._TABLES = saved
-
-
 ORACLE_FIGURES = {
     **{f"ladder{k}{d}": (lambda k=k, d=d: _ladder(lattice_point(k * d[0], k * d[1]), k))
        for k in (2, 3, 4, 5) for d in UNIT_DIRS},
@@ -462,11 +452,13 @@ class TestReferenceEnumerator:
         res = enumerate_unit_maps(_ladder(lattice_point(k, 0), k))
         assert (res.nodes, res.pruned, len(res.maps)) == counts
 
-    @pytest.mark.parametrize("y,k,calls", [((4, 0), 4, (6, 23)), ((0, -5), 5, (6, 48))])
+    @pytest.mark.parametrize("y,k,calls", [((4, 0), 4, (6, 99)), ((0, -5), 5, (6, 167))])
     def test_ladder_work_pinned(self, y, k, calls, monkeypatch):
-        # from an emptied table, one intersection per difference of two
-        # anchor images, and no unit test of a candidate against the centres
-        # it was met from; a second enumeration finds every position in the
+        # from an emptied table, the placement order tests each pair of
+        # T's 13 or 16 points once (78 or 120), then one intersection per
+        # difference of two anchor images, and no unit test of a candidate
+        # against the centres it was met from or of a pair decided before;
+        # a second enumeration finds every position and pair in the
         # field's shared table and pays nothing
         count = _counted_arithmetic(monkeypatch)
         T = _ladder(lattice_point(*y), k)
@@ -480,6 +472,89 @@ class TestReferenceEnumerator:
         # 1 + 10**-30 has the float of 1, so the two 1s need not sort side by side
         tiny = QScalar(1 + Fraction(1, 10**30))
         assert _distinct([QScalar(1), tiny, QScalar(1)]) == [QScalar(1), tiny]
+
+
+def _moved(ps, d: Point) -> PointSet:
+    """ps translated by the vector d."""
+    return PointSet([Point(p.x + d.x, p.y + d.y) for p in ps])
+
+
+# a unit vector stretched by 1 +- _TINY: its float length is within 1e-12
+# of 1, its exact length is not 1
+_TINY = Fraction(1, 10**12)
+_UNIT_VECTORS = ((QScalar(1), QScalar(0)), (QScalar(Fraction(3, 5)), QScalar(Fraction(4, 5))),
+                 (QScalar(Fraction(1, 2)), SQRT3 / 2))
+
+_lattice_sets = st.lists(st.integers(0, len(_BALL2) - 1), min_size=1, max_size=12,
+                         unique=True).map(lambda idx: PointSet([_BALL2[i] for i in idx]))
+_q3_scalars = st.tuples(*[st.fractions(-2, 2, max_denominator=6)] * 2).map(lambda t: QScalar(*t))
+_q3_vectors = st.tuples(_q3_scalars, _q3_scalars).map(lambda t: Point(*t))
+_vectors = st.one_of(
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9)).map(lambda t: lattice_point(*t)),
+    _q3_vectors,
+    st.just(Point(QScalar(ext=((11, Fraction(1, 2)),)), QScalar(Fraction(-1, 2)))),
+)
+
+
+@st.composite
+def _near_unit_sets(draw):
+    """A lattice set plus points at unit length, or at 1 +- _TINY, from
+    some of its points."""
+    base = draw(_lattice_sets)
+    pts = list(base)
+    for i, (vx, vy), sign in draw(st.lists(st.tuples(
+            st.integers(0, len(base) - 1), st.sampled_from(_UNIT_VECTORS),
+            st.sampled_from((0, 1, -1))), min_size=1, max_size=6)):
+        stretch = 1 + sign * _TINY
+        pts.append(Point(base[i].x + vx * stretch, base[i].y + vy * stretch))
+    return PointSet(pts)
+
+
+_unit_edge_sets = st.one_of(
+    _lattice_sets,
+    # off the lattice in Q(sqrt(3)): a lattice set moved by a drawn vector
+    st.tuples(_lattice_sets, _q3_vectors).map(lambda t: _moved(*t)),
+    # the exact spindle, alone or beside a lattice set, in Q(sqrt(3), sqrt(11))
+    st.tuples(_lattice_sets, st.booleans()).map(
+        lambda t: PointSet(list(gadget("moser-spindle").points) + (list(t[0]) if t[1] else []))),
+    _near_unit_sets(),
+).flatmap(lambda ps: st.one_of(
+    st.just(ps),
+    # a translated copy, alone or with the original
+    st.tuples(_vectors, st.booleans()).map(
+        lambda t: PointSet([*(ps if t[1] else ()), *_moved(ps, t[0])])),
+))
+
+
+class TestUnitEdges:
+    """The verdict path's unit graph, read from the site table, against
+    the all-pairs loop of plane.unit_graph."""
+
+    @given(_unit_edge_sets)
+    @settings(max_examples=120, deadline=None)
+    def test_matches_unit_graph(self, ps):
+        want = unit_graph(ps)
+        backwards = PointSet(reversed(ps.points))
+        with emptied_tables():
+            assert unit_edges(ps) == want
+            # warm: every pair is memoized, or reversed in the memo
+            assert unit_edges(ps) == want
+            assert unit_edges(backwards) == unit_graph(backwards)
+        assert unit_edges(ps) == want
+
+    def test_near_unit_pairs_are_not_edges(self):
+        p = lattice_point(1, 1)
+        near = [Point(p.x + vx * (1 + d), p.y + vy * (1 + d))
+                for d in (_TINY, -_TINY) for vx, vy in _UNIT_VECTORS]
+        for q in near:
+            # 1 +- 1e-12, up to the rounding of the floats
+            assert abs(math.dist(point_to_float(p), point_to_float(q)) - 1) < 2e-12
+            assert not is_unit(p, q)
+        ps = PointSet([p, *near, *(Point(p.x + vx, p.y + vy) for vx, vy in _UNIT_VECTORS)])
+        with emptied_tables():
+            edges = unit_edges(ps)
+        assert edges == unit_graph(ps)
+        assert [j for i, j in edges if i == 0] == [7, 8, 9]
 
 
 def _shifted(ps, dx) -> PointSet:
@@ -545,14 +620,32 @@ class TestSharedSiteTable:
         with emptied_tables() as tables:
             _assert_matches_reference(ps)
             first = tables[(3,)]
-            # a table holding exactly the bound is kept
-            monkeypatch.setattr(bq, "_SITE_LIMIT", len(first.points))
+            # the unit memo outgrows the sites: a table holding exactly
+            # the bound in both is kept, one past it in either is replaced
+            size = max(len(first.points), len(first._units))
+            assert size == len(first._units) > len(first.points)
+            monkeypatch.setattr(bq, "_SITE_LIMIT", size)
             _assert_matches_reference(ps)
             assert tables[(3,)] is first
-            monkeypatch.setattr(bq, "_SITE_LIMIT", len(first.points) - 1)
+            monkeypatch.setattr(bq, "_SITE_LIMIT", size - 1)
             _assert_matches_reference(ps)
-            assert tables[(3,)] is not first
-            assert len(tables[(3,)].points) == len(first.points)
+            second = tables[(3,)]
+            assert second is not first
+            assert (len(second.points), len(second._units)) == (len(first.points), size)
+
+    def test_replaced_table_gives_the_same_edges_and_maps(self, monkeypatch):
+        # at this bound every call replaces the table its predecessor
+        # filled, the enumeration's the placement order's among them
+        monkeypatch.setattr(bq, "_SITE_LIMIT", 8)
+        with emptied_tables() as tables:
+            for name in ("ladder3(1, 0)", "braced(2, 1)", "ball1", "spindle-exact"):
+                ps = ORACLE_FIGURES[name]()
+                field = bq._field_of(ps)
+                for _ in range(2):
+                    assert unit_edges(ps) == unit_graph(ps)
+                    ordered = tables[field]
+                    _assert_matches_reference(ps)
+                    assert tables[field] is not ordered
 
     def test_fields_never_share_a_site(self):
         figures = {
@@ -749,35 +842,51 @@ def _isometries():
     return out
 
 
+_CERTIFICATES = [
+    ("triangle-extension", "A", "C", 0),
+    ("rhombus", "A", "D", 1),
+    ("chain", "A", "B", 0),
+    ("moser-spindle", "A", "D", 0),
+]
+
+
+def _certificate(ps, xi, yi, eps) -> tuple:
+    """The parts of bq_certify's report that do not depend on the frame."""
+    rep = bq_certify(ps, xi, yi, QScalar(eps))
+    return (rep.certified, rep.max_deviation, rep.map_count,
+            rep.branch_count, rep.pruned_contradictions)
+
+
 class TestIsometryInvariance:
     """A certificate is a property of the figure up to isometry: every
-    lattice isometry of a gadget gets the same report.  The spindle's
+    lattice isometry of a gadget, and every translation by a lattice
+    point up to 1000 steps away, gets the same report.  The spindle's
     images lie in Q(sqrt(3), sqrt(11), sqrt(33)), a table apart from the
     other gadgets', and its glued vertex meets at squared radii other
     than 1."""
 
-    @pytest.mark.parametrize("kind,x,y,eps", [
-        ("triangle-extension", "A", "C", 0),
-        ("rhombus", "A", "D", 1),
-        ("chain", "A", "B", 0),
-        ("moser-spindle", "A", "D", 0),
-    ])
+    @pytest.mark.parametrize("kind,x,y,eps", _CERTIFICATES)
     def test_reports_equal(self, kind, x, y, eps):
         g = gadget(kind)
         xi, yi = g.labeled_index(x), g.labeled_index(y)
-
-        def report(ps):
-            rep = bq_certify(ps, xi, yi, QScalar(eps))
-            return (rep.certified, rep.max_deviation, rep.map_count,
-                    rep.branch_count, rep.pruned_contradictions)
-
-        want = report(g.points)
+        want = _certificate(g.points, xi, yi, eps)
         moves = _isometries()
         assert len(moves) == 24
         for move in moves:
             moved = PointSet([move(p) for p in g.points])
             assert dist2(moved[xi], moved[yi]) == dist2(g.points[xi], g.points[yi])
-            assert report(moved) == want
+            assert _certificate(moved, xi, yi, eps) == want
+
+    @given(st.sampled_from(_CERTIFICATES), st.integers(-1000, 1000), st.integers(-1000, 1000))
+    @settings(max_examples=40, deadline=None)
+    def test_far_translations(self, case, a, b):
+        # the moved points enter the shared site table far from the frame
+        # the images are placed in
+        kind, x, y, eps = case
+        g = gadget(kind)
+        xi, yi = g.labeled_index(x), g.labeled_index(y)
+        moved = _moved(g.points, lattice_point(a, b))
+        assert _certificate(moved, xi, yi, eps) == _certificate(g.points, xi, yi, eps)
 
 
 class TestGadgets:

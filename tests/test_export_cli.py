@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from rigidlab.bq import gadget
+from rigidlab.bq import bq_certify, gadget
 from rigidlab.cli import main
 from rigidlab.errors import UsageError
 from rigidlab.export import (
@@ -32,7 +32,7 @@ from rigidlab.export import (
     unitgraph_to_dot,
     write_text_atomic,
 )
-from rigidlab.numeric import Point, QScalar
+from rigidlab.numeric import Point, QScalar, parse_scalar
 from rigidlab.phi import orientation_from_bits
 from rigidlab.plane import base_triangle, lattice_ball, lattice_point
 from rigidlab.product import build_product
@@ -396,14 +396,29 @@ class TestCli:
     @pytest.mark.parametrize("argv,code,sha256", [
         ("certify --gadget rhombus --x A --y D --epsilon r3", 0,
          "5495b31837d18ebe1f3948b93a83403ca3be66ed8b4325a3a6e00d8231453d51"),
+        # the fold's counterexample, as exact tokens
         ("certify --gadget rhombus --x A --y D --epsilon 1", 2,
-         "48373f296a99d8e72c7507f31e92274f7bcab133c0a81093a2d9f42e48940fb1"),
+         "0de5883443f363496567750e395203c38963add8f2082fd732a915a578a45d84"),
         ("certify --gadget moser-spindle --x A --y D --epsilon 0", 0,
          "e708d62aae7750270be9a2d26a30e265a188ae0205774da6a850ae4b5547b5b6"),
     ])
     def test_certify_bytes_pinned(self, argv, code, sha256, capsys):
         assert self.run(*argv.split()) == code
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("kind,x,y,eps", [
+        ("rhombus", "A", "D", "1"),
+        # images with coordinates in Q(sqrt(3), sqrt(11), sqrt(33))
+        ("moser-spindle", "B", "E", "0"),
+    ])
+    def test_certify_counterexample_reads_back(self, kind, x, y, eps, capsys):
+        assert self.run("certify", "--gadget", kind, "--x", x, "--y", y, "--epsilon", eps) == 2
+        doc = json.loads(capsys.readouterr().out)
+        g = gadget(kind)
+        rep = bq_certify(g.points, g.labeled_index(x), g.labeled_index(y), parse_scalar(eps))
+        assert rep.counterexample is not None
+        got = tuple(Point(parse_scalar(px), parse_scalar(py)) for px, py in doc["counterexample"])
+        assert got == rep.counterexample
 
     def test_certify_epsilon_with_exponent(self, capsys):
         # 1e-3 parses as 1/1000, below the rhombus's sqrt(3) deviation

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import emptied_tables
 from rigidlab import bq, export, phi, plane
 from rigidlab.acceptance import _case1_pairs
 from rigidlab.cli import main
@@ -301,10 +302,25 @@ class TestUnitGraphCalls:
         assert len(list(all_orientations(lattice_ball(1)))) == 512
         assert unit_graph_calls == [7]
 
-    def test_case1(self, unit_graph_calls):
-        # placement_order's on the grown set, then the universe's
-        built = witness_case1(lattice_point(1, 0), lattice_point(2, 1))
-        assert unit_graph_calls == [len(built.grow.points), len(built.product.base)]
+    def test_case1(self, unit_graph_calls, monkeypatch):
+        # the grown set's and the universe's unit edges come from the site
+        # table, so an identical call again tests no pair at all
+        args = (lattice_point(1, 0), lattice_point(2, 1))
+        with emptied_tables():
+            first = witness_case1(*args)
+            assert unit_graph_calls == []
+            units = []
+
+            def counted(p, q):
+                units.append((p, q))
+                return is_unit(p, q)
+
+            monkeypatch.setattr(bq, "is_unit", counted)
+            again = witness_case1(*args)
+        assert (units, unit_graph_calls) == ([], [])
+        S = again.product.family.members[0]
+        assert S == first.product.family.members[0]
+        assert S == next(all_orientations(again.product.base))
 
     def test_checked_paths_still_check(self, unit_graph_calls):
         ps = lattice_ball(1)
