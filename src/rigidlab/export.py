@@ -109,10 +109,7 @@ def orientation_from_json(obj) -> Orientation:
 
 def product_to_json(P: ProductStruct) -> dict:
     """Product structure as a relstruct document with structured labels."""
-    n = len(P.base)
-    labels = [
-        {"point": e % n, "member": e // n} for e in range(P.structure.n)
-    ]
+    labels = [{"point": i, "member": s} for i, s in map(P.decode, range(P.structure.n))]
     return {
         "schema": SCHEMA_PRODUCT,
         "base": pointset_to_json(P.base),
@@ -218,7 +215,7 @@ def orientation_to_dot(o: Orientation, name: str = "S") -> str:
 def product_to_dot(P: ProductStruct) -> str:
     """Element (point i, member s) is named by the point and S{s}."""
     names = [_point_label(p) for p in P.base]
-    labels = [f"{x}|S{s}" for s in range(len(P.family)) for x in names]
+    labels = [f"{names[i]}|S{s}" for i, s in map(P.decode, range(P.structure.n))]
     return relstruct_to_dot(P.structure, "P", labels)
 
 

@@ -13,11 +13,10 @@ owes nothing to the geometric reasoning that predicted its verdict.
 That search never builds the product.  Since no pair joins two fibers, a
 witness W is judged by the component of x alone, and that component lies
 in one fiber and maps into one fiber: checking W in the product is one
-search from the member holding x into the member holding y
-(`verify_product_witness` gives the proof; maps of a connected structure
-into a disjoint union are standard, see Hell and Nesetril, Graphs and
-Homomorphisms, ch. 1).  The product's relational structure is built
-only when it is read, as by the `product` writers.
+search from the member holding x into the member holding y, by
+`relations.component_map`, whose docstring gives the proof.  The
+product's relational structure is built only when it is read, as by the
+`product` writers.
 """
 
 from __future__ import annotations
@@ -38,14 +37,15 @@ from .numeric import (
 )
 from .phi import Orientation, OrientationFamily, _admissible, _forced_pairs, _norm_edge
 from .plane import TRIANGLE, PointSet
-from .relations import (RelStruct, WitnessCheck, WitnessSet, component, enumerate_homs,
-                        neighbours)
+from .relations import RelStruct, WitnessCheck, WitnessSet, component_map
 
 
 @dataclass(frozen=True)
 class ProductStruct:
     """Points x members with fiberwise pairs: element (point i, member s)
-    is s * len(base) + i."""
+    is s * len(base) + i, so fiber s is the len(base) consecutive elements
+    from element(0, s), point i at element(0, s) + i.  Other code reads
+    the encoding only through element, decode and that fiber layout."""
 
     base: PointSet
     family: OrientationFamily
@@ -257,11 +257,11 @@ def witness_case2(x: Point, S: Orientation, Z: Orientation) -> Case2Witness:
     if conflict is None:
         raise ValueError("orientations agree on every singly-oriented edge")
     P = build_product(X, OrientationFamily(X, (S, Z)))
-    # element (i, member) is member * len(X) + i, so fiber 0 is range(len(X))
-    src, tgt = xi, len(X) + xi
+    src, tgt = P.element(xi, 0), P.element(xi, 1)
     return Case2Witness(
         product=P,
-        witness=WitnessSet(range(len(X)), src, tgt),
+        # fiber 0, whose point xi is src
+        witness=WitnessSet(range(src - xi, src - xi + len(X)), src, tgt),
         src=src,
         tgt=tgt,
         conflict=conflict,
@@ -273,30 +273,15 @@ def verify_product_witness(P: ProductStruct, witness: WitnessSet) -> WitnessChec
     """Exhaustive check that no map of the witness into the product sends
     x to y while preserving the product pairs inside the witness.
 
-    The check is one search from member s into member t, where x lies in
-    fiber s and y in fiber t, and the product is never built.  Take W's
-    pairs as undirected edges and let C be the component of x.  No
-    product pair joins two fibers, so C lies in fiber s and is x's
-    component within W's part of that fiber, read off member s's masks.
-
-    - W is a witness exactly when C is.  Every pair of W lies inside one
-      component, so a map of C with x -> y, extended by the identity on
-      the rest of W, preserves W's pairs; and a map of W restricts to
-      one of C.
-    - Every map of C with x -> y lands in fiber t.  C is connected and
-      each pair of it goes to a product pair, which lies in one fiber, so
-      all of C goes to the fiber of y.
-    - Fiber t is a copy of member t.  So the maps of C into the product
-      with x -> y are the maps of member s restricted to C into member t,
-      with x's point pinned to y's, moved into fiber t.
-
-    A counterexample is reported in product elements: C's images in
-    fiber t, and every other element of W fixed.  When C is all of W,
-    the search is the one in the product, variables and values in the
-    same order, and finds the same first map: once x is pinned into
-    fiber t, arc consistency leaves every variable of C only values in
-    fiber t, so both searches start from the same domains.  An element
-    of W or a y outside the product raises ValueError.
+    The product is never built.  It is the disjoint union of its fibers,
+    fiber t a copy of member t, and x's component within W lies in x's
+    fiber s.  So by component_map's lemma the check is component_map
+    from member s into member t, on W's part of fiber s, with x's point
+    pinned to y's; when that component is all of W, the search and its
+    first map are those of the search in the product.  A counterexample
+    is reported in product elements: the component's images in fiber t,
+    and every other element of W fixed.  An element of W or a y outside
+    the product raises ValueError.
     """
     n = len(P.base)
     size = n * len(P.family)
@@ -309,17 +294,12 @@ def verify_product_witness(P: ProductStruct, witness: WitnessSet) -> WitnessChec
         raise ValueError(f"target {witness.y} out of range for n={size}")
     xi, s = P.decode(witness.x)
     yi, t = P.decode(witness.y)
-    S = P.family.members[s].relstruct()
-    T = P.family.members[t].relstruct()
-    lo = s * n
-    within = 0
-    for e in sub:
-        if lo <= e < lo + n:
-            within |= 1 << e - lo
-    piece = component(neighbours(S), xi, within)
-    points = [i for i in range(n) if piece >> i & 1]
-    result = enumerate_homs(S.restrict(points), T, pin={points.index(xi): yi}, limit=1)
-    if not result.maps:
+    lo = witness.x - xi  # fiber s's first element
+    within = sum(1 << e - lo for e in sub if lo <= e < lo + n)
+    members = P.family.members
+    h = component_map(members[s].relstruct(), members[t].relstruct(), within, xi, yi)
+    if h is None:
         return WitnessCheck(True)
-    image = {lo + i: t * n + a for i, a in zip(points, result.maps[0])}
+    top = witness.y - yi  # fiber t's first element
+    image = {lo + i: top + a for i, a in h.items()}
     return WitnessCheck(False, {e: image.get(e, e) for e in sub})

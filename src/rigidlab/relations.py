@@ -95,6 +95,13 @@ class RelStruct:
         return loop_mask, succ, pred
 
     @cached_property
+    def _neighbours(self) -> list:
+        """Per element v, the mask of elements sharing a pair with v, loops
+        dropped."""
+        _, succ, pred = self._adjacency
+        return [(out | into) & ~(1 << v) for v, (out, into) in enumerate(zip(succ, pred))]
+
+    @cached_property
     def _masks(self) -> tuple:
         """Target indexes for enumerate_homs, built on first search.
 
@@ -369,16 +376,57 @@ class WitnessCheck:
         return self.valid
 
 
+def component_map(src: RelStruct, dst: RelStruct, within: int, x: int, y: int):
+    """The first map into dst, with x -> y, of x's component within the
+    bitmask `within`, as {element: image}; None when there is none.
+
+    This is the one witness verdict.  Take the pairs of src inside W (the
+    elements of `within`, plus x) as undirected edges, loops dropped, and
+    let C be x's component.  The answer is one search:
+    enumerate_homs(src restricted to C, dst, pin={x: y}, limit=1).
+
+    - W is a witness exactly when C is.  Every pair of W lies inside one
+      component, so a map of W is a homomorphism iff each restriction is
+      (maps into a disjoint union: Hell and Nesetril, Graphs and
+      Homomorphisms, ch. 1; independent subproblems: Dechter, Constraint
+      Processing, 2003).  A map of W with x -> y restricts to one of C,
+      and a map of C with x -> y, extended by the identity on the rest of
+      W, is one of W: a counterexample fixes every element of W outside C.
+    - When C is all of W, the search is the whole one: the same source,
+      pin and first map.
+    - When the target is a disjoint union of parts with no pair between
+      them, as a product is of its fibers, every map of C with x -> y
+      lands in y's part: each pair of C goes to a pair, which lies in one
+      part, and C is connected.  So the search may be into y's part alone,
+      and it finds the same first map: once x is pinned there, arc
+      consistency leaves every variable of C only values in that part, so
+      both searches start from the same domains, with the part's values
+      in the same order.
+    """
+    piece = component(src._neighbours, x, within)
+    points = []
+    while piece:
+        low = piece & -piece
+        piece ^= low
+        points.append(low.bit_length() - 1)
+    result = enumerate_homs(src.restrict(points), dst, pin={points.index(x): y}, limit=1)
+    return dict(zip(points, result.maps[0])) if result.maps else None
+
+
 def check_witness(s: RelStruct, w: WitnessSet) -> WitnessCheck:
     """Valid iff no map of w.subset into the universe with x -> y preserves
-    the pairs lying inside the subset."""
+    the pairs lying inside the subset.  Judged by component_map: a
+    counterexample moves x's component and fixes the rest of the subset.
+    An element of the subset outside the universe raises ValueError."""
     sub = w.subset
-    induced = s.restrict(sub)
-    result = enumerate_homs(induced, s, pin={sub.index(w.x): w.y}, limit=1)
-    if not result.maps:
+    # subset is sorted, so its ends bound it
+    for e in (sub[0], sub[-1]):
+        if not 0 <= e < s.n:
+            raise ValueError(f"index {e} out of range for n={s.n}")
+    h = component_map(s, s, _or_all(map((1).__lshift__, sub)), w.x, w.y)
+    if h is None:
         return WitnessCheck(True, None)
-    vec = result.maps[0]
-    return WitnessCheck(False, {sub[k]: vec[k] for k in range(len(sub))})
+    return WitnessCheck(False, {e: h.get(e, e) for e in sub})
 
 
 @dataclass(frozen=True)
@@ -410,17 +458,14 @@ def find_min_witness(s: RelStruct, x: int, y: int, budget: int = 4096) -> MinWit
     the checks before it stay below the budget; once they reach it,
     checks == budget.
 
-    Only connected candidates are met.  Let W's induced pairs, taken as
-    undirected edges without loops, split W into components, and let C be
-    the one holding x.  Every pair of W lies inside one component, so a
-    map of C with x -> y extended by the identity elsewhere preserves W's
-    pairs, and a map of W restricts to one of C: W is a witness exactly
-    when C is.  When W is disconnected, C is a smaller connected candidate
-    containing x, so the smallest-first scan has already searched it, and
-    the scan only goes on past a failed search.  A disconnected candidate
-    is therefore no witness.  W = P + x + c is connected exactly when c
-    has a neighbour in every component of P + x, so the scan draws c from
-    the tail elements that do, ascending, and skips the rest unbuilt.
+    Only connected candidates are met, each judged by component_map on
+    its mask.  By component_map's lemma a disconnected W is a witness
+    exactly when x's component C within it is.  C is a smaller connected
+    candidate, so the smallest-first scan has already searched it, and
+    the scan only goes on past a failed search: W is no witness.  W = P +
+    x + c is connected exactly when c has a neighbour in every component
+    of P + x, so the scan draws c from the tail elements that do,
+    ascending, and skips the rest unbuilt.
 
     The extension rule reuses the counterexample h, a map of W - {v} with
     x -> y preserving its pairs, kept for each failed connected candidate
@@ -442,14 +487,8 @@ def find_min_witness(s: RelStruct, x: int, y: int, budget: int = 4096) -> MinWit
         raise ValueError("witness search requires x != y")
     if budget < 1:
         raise ValueError(f"witness budget must be at least 1, got {budget}")
-    checks = 0
-
-    def checked(subset) -> WitnessCheck:
-        nonlocal checks
-        checks += 1
-        return check_witness(s, WitnessSet(subset, x, y))
-
-    if not checked(tuple(range(s.n))).valid:
+    checks = 1
+    if not check_witness(s, WitnessSet(range(s.n), x, y)).valid:
         raise NoWitnessExists(f"an endomorphism maps {x} to {y}")
 
     # counterexamples of the failed connected candidates, by bitmask:
@@ -460,14 +499,12 @@ def find_min_witness(s: RelStruct, x: int, y: int, budget: int = 4096) -> MinWit
         """Decide the connected candidate x + rest as check number checks + 1,
         keeping its counterexample when it fails; True when it is a witness."""
         nonlocal checks
+        checks += 1
         h = _extend_counterexample(s, previous, rest, mask)
-        if h is not None:
-            checks += 1  # decided by the extension rule: no witness
-        else:
-            result = checked((x,) + rest)
-            if result.valid:
+        if h is None:
+            h = component_map(s, s, mask, x, y)  # the candidate is connected
+            if h is None:
                 return True
-            h = result.counterexample
         current[mask] = h
         return False
 
@@ -520,7 +557,8 @@ def find_min_witness(s: RelStruct, x: int, y: int, budget: int = 4096) -> MinWit
     kept = list(range(s.n))
     for i in others:
         trial = [v for v in kept if v != i]
-        if checked(tuple(trial)).valid:
+        checks += 1
+        if check_witness(s, WitnessSet(trial, x, y)).valid:
             kept = trial
     return MinWitnessResult(WitnessSet(tuple(kept), x, y), False, checks)
 
@@ -554,9 +592,8 @@ def _extend_counterexample(s: RelStruct, known: dict, rest, mask: int):
 
 def neighbours(s: RelStruct) -> list:
     """Per element v, the mask of elements sharing a pair with v, loops
-    dropped, read off the structure's cached masks."""
-    _, succ, pred = s._adjacency
-    return [(out | into) & ~(1 << v) for v, (out, into) in enumerate(zip(succ, pred))]
+    dropped, cached on the structure."""
+    return s._neighbours
 
 
 def component(nbrs, x: int, within: int) -> int:
@@ -585,6 +622,7 @@ def remark1_check(s: RelStruct) -> Remark1Report:
 
     A witness for (x, y) exists iff the full universe is one, since any
     full endomorphism restricts to a counterexample on every subset.
+    check_witness searches only x's component (component_map's lemma).
     """
     bad = []
     full = tuple(range(s.n))

@@ -8,7 +8,8 @@ import pytest
 from rigidlab import bq
 from rigidlab.numeric import Point, QScalar, circle_intersect
 from rigidlab.plane import PointSet, lattice_ball, lattice_point
-from rigidlab.relations import RelStruct, component, neighbours
+from rigidlab.relations import (RelStruct, WitnessCheck, component, enumerate_homs,
+                                neighbours)
 
 
 def is_connected_within(s: RelStruct, subset) -> bool:
@@ -21,6 +22,19 @@ def is_connected_within(s: RelStruct, subset) -> bool:
         return True
     start = (mask & -mask).bit_length() - 1
     return component(neighbours(s), start, mask) == mask
+
+
+def reference_check_witness(s: RelStruct, w) -> WitnessCheck:
+    """check_witness as it was before it searched only x's component: one
+    search of the whole subset, whose counterexample is that search's
+    first map."""
+    sub = w.subset
+    induced = s.restrict(sub)
+    result = enumerate_homs(induced, s, pin={sub.index(w.x): w.y}, limit=1)
+    if not result.maps:
+        return WitnessCheck(True, None)
+    vec = result.maps[0]
+    return WitnessCheck(False, {sub[k]: vec[k] for k in range(len(sub))})
 
 
 @contextmanager

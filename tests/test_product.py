@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import is_connected_within
+from conftest import is_connected_within, reference_check_witness
 from rigidlab.acceptance import _ball1_orientation_pair
 from rigidlab.errors import (
     BudgetExhausted,
@@ -380,11 +380,11 @@ def _replays(P, w, image) -> bool:
 
 
 def _oracle_agrees(P, w):
-    """verify_product_witness against check_witness in the built product:
-    the same verdict, the same counterexample when x's component is the
-    whole witness, and otherwise a counterexample that replays."""
+    """verify_product_witness against the whole-subset search in the built
+    product: the same verdict, the same counterexample when x's component
+    is the whole witness, and otherwise a counterexample that replays."""
     got = verify_product_witness(P, w)
-    want = check_witness(P.structure, w)
+    want = reference_check_witness(P.structure, w)
     assert got.valid == want.valid
     if got.valid:
         assert got.counterexample is None

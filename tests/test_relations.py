@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import is_connected_within
+from conftest import is_connected_within, reference_check_witness
 from rigidlab import acceptance, phi, plane, product, relations
 from rigidlab.errors import NoWitnessExists
 from rigidlab.relations import (
@@ -464,6 +464,38 @@ class TestWitness:
         assert not res.valid
         assert res.counterexample[0] == 1
 
+    @given(structs(n_max=8), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_component_verdict_matches_whole_search(self, s, data):
+        # the same verdict as the search of the whole subset; a
+        # counterexample is a map of the subset with x -> y that fixes
+        # everything outside x's component, and is the whole search's
+        # first map when that component is the whole subset
+        subset = data.draw(st.sets(st.integers(0, s.n - 1), min_size=1))
+        x = data.draw(st.sampled_from(sorted(subset)))
+        y = data.draw(st.integers(0, s.n - 1))
+        w = WitnessSet(subset, x, y)
+        got, want = check_witness(s, w), reference_check_witness(s, w)
+        assert got.valid == want.valid
+        if got.valid:
+            assert got.counterexample is None
+            return
+        h = got.counterexample
+        inside = set(w.subset)
+        reach, todo = {x}, [x]
+        while todo:
+            v = todo.pop()
+            for a, b in s.pairs:
+                for u in (b if a == v else None, a if b == v else None):
+                    if u in inside and u not in reach:
+                        reach.add(u)
+                        todo.append(u)
+        assert set(h) == inside and h[x] == y
+        assert all((h[a], h[b]) in s.pairs for a, b in s.pairs if a in inside and b in inside)
+        assert all(h[v] == v for v in inside - reach)
+        if reach == inside:
+            assert h == want.counterexample
+
     def test_find_min_witness_on_rigid(self):
         s = RelStruct(3, ((0, 2), (1, 0)))
         for x in range(3):
@@ -540,6 +572,21 @@ class TestWitness:
             find_min_witness(c3, x, y)
 
 
+def _hook_searches(monkeypatch):
+    """The subsets searched, in order: every check_witness, and every
+    candidate find_min_witness searches, calls relations.component_map
+    once on the subset's mask."""
+    searched = []
+    real = relations.component_map
+
+    def hook(src, dst, within, x, y):
+        searched.append(tuple(v for v in range(src.n) if within >> v & 1))
+        return real(src, dst, within, x, y)
+
+    monkeypatch.setattr(relations, "component_map", hook)
+    return searched
+
+
 class TestMinWitnessOracle:
     """find_min_witness skips disconnected candidates unbuilt, and decides
     candidates a kept counterexample extends to without a search; the
@@ -594,10 +641,7 @@ class TestMinWitnessOracle:
         # extends that map to {0, 1}, which is decided without a search;
         # {0, 2} admits no extension and is searched: a witness
         s = RelStruct(3, ((0, 2), (1, 0), (2, 0), (2, 1)))
-        searched = []
-        real = relations.check_witness
-        monkeypatch.setattr(relations, "check_witness",
-                            lambda *args: searched.append(args[1].subset) or real(*args))
+        searched = _hook_searches(monkeypatch)
         res = find_min_witness(s, 0, 1)
         assert (res.witness.subset, res.minimal, res.checks_used) == ((0, 2), True, 4)
         assert searched == [(0, 1, 2), (0,), (0, 2)]
@@ -606,10 +650,7 @@ class TestMinWitnessOracle:
         # {0, 1} has no pair joining 0 and 1, so it is skipped unbuilt and
         # counted; {0, 2} is a witness, since no successor of 1 has a loop
         s = RelStruct(4, ((0, 2), (2, 2), (1, 3)))
-        searched = []
-        real = relations.check_witness
-        monkeypatch.setattr(relations, "check_witness",
-                            lambda *args: searched.append(args[1].subset) or real(*args))
+        searched = _hook_searches(monkeypatch)
         res = find_min_witness(s, 0, 1)
         assert (res.witness.subset, res.minimal, res.checks_used) == ((0, 2), True, 4)
         assert searched == [(0, 1, 2, 3), (0,), (0, 2)]
@@ -626,10 +667,7 @@ class TestMinWitnessOracle:
         ps = plane.lattice_ball(2)
         P = product.build_product(ps, [phi.orientation_from_bits(ps, b) for b in bits])
         s, x, y = P.structure, P.element(0, 0), P.element(0, 1)
-        searched = []
-        real = relations.check_witness
-        monkeypatch.setattr(relations, "check_witness",
-                            lambda *args: searched.append(1) or real(*args))
+        searched = _hook_searches(monkeypatch)
         res = find_min_witness(s, x, y)
         assert (res.witness.subset, res.minimal, res.checks_used, len(searched)) == expected
 
@@ -740,10 +778,7 @@ class TestConnectedScan:
         bits = phi.count_orientations(ps).bit_length() - 1
         origin = ps.index_of(plane.P0)
         rng = random.Random("min-witness-pin")
-        searches = []
-        real = relations.check_witness
-        monkeypatch.setattr(relations, "check_witness",
-                            lambda *args: searches.append(1) or real(*args))
+        searches = _hook_searches(monkeypatch)
         rows = []
         for _ in range(30):
             P = product.build_product(ps, [phi.orientation_from_bits(ps, rng.getrandbits(bits))
