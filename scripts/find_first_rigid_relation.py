@@ -10,7 +10,7 @@ rigid relation and prints the runners-up with their endomorphism counts.
 import argparse
 import sys
 
-from rigidlab.relations import RelStruct, is_rigid
+from rigidlab.relations import RelStruct, enumerate_homs, is_rigid
 
 
 def main() -> int:
@@ -24,9 +24,9 @@ def main() -> int:
     history = []
     for mask in range(2 ** len(pool)):
         pairs = tuple(pool[k] for k in range(len(pool)) if mask >> k & 1)
-        rep = is_rigid(RelStruct(args.n, pairs))
-        history.append((mask, pairs, rep.endo_count))
-        if rep.rigid:
+        s = RelStruct(args.n, pairs)
+        history.append((mask, pairs, len(enumerate_homs(s, s).maps)))
+        if is_rigid(s):
             for m, p, c in history[-(args.show_near_misses + 1):-1]:
                 print(f"  mask {m:4d}  pairs {p}  {c} endomorphisms")
             print(f"first rigid: mask {mask}  pairs {pairs}")

@@ -41,13 +41,13 @@ from .numeric import SQRT3, Point, QScalar, dist2, point_to_float
 from .phi import (
     Orientation,
     OrientationFamily,
+    _forced_pairs,
     observation_verify,
     sample_orientations,
 )
 from .plane import _HEX_STEPS, P0, P1, P2, lattice_ball, lattice_point
 from .product import (
     build_product,
-    find_conflict_edge,
     trilaterate,
     verify_product_witness,
     witness_case1,
@@ -250,7 +250,7 @@ def _ball1_orientation_pair():
     # neighbors on the hexagon
     start = ring.index(i1)
     ring = ring[start:] + ring[:start]
-    forced = [(i0, i1), (i1, i0), (i0, i2), (i2, i0), (i1, i2)]
+    forced = list(_forced_pairs(ps))
     spokes = [(i0, r) for r in ring if r not in (i1, i2)]
     ccw = []
     for pos in range(6):
@@ -383,10 +383,7 @@ def _write_artifacts(seed: int, directory: str) -> list:
     }))
 
     P = build_product(ps, OrientationFamily(ps, (S, Z)))
-    doc = product_to_json(P)
-    conflict = find_conflict_edge(S, Z)
-    doc["first_conflict"] = [conflict.ui, conflict.vi]
-    put("product.json", dumps_canonical(doc))
+    put("product.json", dumps_canonical(product_to_json(P)))
 
     p = lattice_point(2, 3)
     q = trilaterate(dist2(P0, p), dist2(P1, p), dist2(P2, p))

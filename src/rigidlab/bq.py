@@ -65,7 +65,7 @@ from .numeric import (
     sqrt_exact,
 )
 from .plane import P0, P1, PointSet, unit_graph, unit_hops, unit_path
-from .relations import RelStruct, component, neighbours
+from .relations import RelStruct, _bits, component, neighbours
 
 DEFAULT_BRANCH_LIMIT = 500_000
 
@@ -118,16 +118,6 @@ class ClusterStep:
     w: int
     members: tuple
     order: PlacementOrder
-
-
-def _bits(mask: int) -> tuple:
-    """Indices of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out.append(low.bit_length() - 1)
-    return tuple(out)
 
 
 def _extend(nbrs, placed: list, anchors: list, allowed: int) -> int:
@@ -193,6 +183,12 @@ def placement_order(T: PointSet) -> PlacementOrder:
     one does it is returned.  Only when none exists does a second pass let
     each stalled run glue one cluster (ClusterStep) and carry on; if every
     run still stalls, NotAnchored is raised.
+
+    Each unit edge (i, j), i < j, starts one run, placing i then j; the
+    reversed start (j, i) is not tried.  _extend and _cluster_step read
+    nothing of the placed list but its mask, so a run from (j, i) places
+    the same masks as one from (i, j) and stalls exactly when it does: it
+    would come only after (i, j) had stalled, and stall too.
     """
     n = len(T)
     if n == 0:
@@ -206,21 +202,20 @@ def placement_order(T: PointSet) -> PlacementOrder:
     if component(nbrs, 0, full) != full:
         raise NotAnchored("unit graph is disconnected; no placement order exists")
     for glue in (False, True):
-        for i, j in edges:
-            for start in ((i, j), (j, i)):
-                placed, anchors, clusters = list(start), [(), ()], [None, None]
-                while True:
-                    reach = _extend(nbrs, placed, anchors, full)
-                    clusters += [None] * (len(placed) - len(clusters))
-                    if len(placed) == n:
-                        return PlacementOrder(tuple(placed), tuple(anchors), tuple(clusters))
-                    found = _cluster_step(nbrs, reach) if glue else None
-                    if found is None:
-                        break
-                    v, step = found
-                    anchors.append((step.w,))
-                    clusters.append(step)
-                    placed.append(v)
+        for start in edges:
+            placed, anchors, clusters = list(start), [(), ()], [None, None]
+            while True:
+                reach = _extend(nbrs, placed, anchors, full)
+                clusters += [None] * (len(placed) - len(clusters))
+                if len(placed) == n:
+                    return PlacementOrder(tuple(placed), tuple(anchors), tuple(clusters))
+                found = _cluster_step(nbrs, reach) if glue else None
+                if found is None:
+                    break
+                v, step = found
+                anchors.append((step.w,))
+                clusters.append(step)
+                placed.append(v)
     raise NotAnchored(
         "some vertex never sees two placed unit neighbors, and no rigid "
         "cluster pins it; the set is too sparse to enumerate"

@@ -42,7 +42,6 @@ from .phi import (
 from .plane import PointSet, lattice_ball
 from .product import (
     build_product,
-    find_conflict_edge,
     verify_product_witness,
     witness_case1,
     witness_case2,
@@ -271,11 +270,10 @@ def _cmd_hom(args) -> int:
 
 def _cmd_rigid(args) -> int:
     s = relstruct_from_json(load_json(args.input))
-    report = is_rigid(s)
-    body = {"rigid": report.rigid, "endomorphisms": report.endo_count}
-    _emit(dumps_canonical(_report("rigid", args, body)), args)
-    if not report.rigid:
-        print(f"{report.endo_count} endomorphisms", file=sys.stderr)
+    rigid = is_rigid(s)
+    _emit(dumps_canonical(_report("rigid", args, {"rigid": rigid})), args)
+    if not rigid:
+        print("not rigid: an endomorphism other than the identity", file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK
 
@@ -388,13 +386,7 @@ def _cmd_product(args) -> int:
     if args.format == "dot":
         _emit(product_to_dot(P), args)
         return EXIT_OK
-    doc = product_to_json(P)
-    if len(members) >= 2:
-        conflict = find_conflict_edge(members[0], members[1])
-        doc["first_conflict"] = (
-            None if conflict is None else [conflict.ui, conflict.vi]
-        )
-    _emit(dumps_canonical(doc), args)
+    _emit(dumps_canonical(product_to_json(P)), args)
     return EXIT_OK
 
 

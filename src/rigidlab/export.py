@@ -17,7 +17,7 @@ from .errors import UsageError
 from .numeric import MAX_RADICAND, Point, QScalar, point_to_float
 from .phi import Orientation
 from .plane import PointSet, unit_graph
-from .product import ProductStruct
+from .product import ProductStruct, find_conflict_edge
 from .relations import RelStruct
 
 SCHEMA_POINTSET = "rigidlab.pointset/1"
@@ -108,18 +108,27 @@ def orientation_from_json(obj) -> Orientation:
 
 
 def product_to_json(P: ProductStruct) -> dict:
-    """Product structure as a relstruct document with structured labels."""
+    """Product structure as a relstruct document with structured labels.
+
+    A family of two or more members also gets "first_conflict": the first
+    unit edge its first two members orient oppositely, or None.
+    """
     labels = [{"point": i, "member": s} for i, s in map(P.decode, range(P.structure.n))]
-    return {
+    members = P.family.members
+    doc = {
         "schema": SCHEMA_PRODUCT,
         "base": pointset_to_json(P.base),
-        "members": [[list(p) for p in m.pairs] for m in P.family.members],
+        "members": [[list(p) for p in m.pairs] for m in members],
         "structure": {
             "n": P.structure.n,
             "pairs": [list(p) for p in P.structure.pairs],
             "labels": labels,
         },
     }
+    if len(members) >= 2:
+        conflict = find_conflict_edge(members[0], members[1])
+        doc["first_conflict"] = None if conflict is None else [conflict.ui, conflict.vi]
+    return doc
 
 
 def _expect_schema(obj, schema: str) -> None:

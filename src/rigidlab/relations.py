@@ -166,6 +166,16 @@ def _or_all(masks) -> int:
     return reduce(or_, masks, 0)
 
 
+def _bits(mask: int) -> tuple:
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return tuple(out)
+
+
 def _support(masks, full_or: int, domain: int, full: int) -> int:
     """OR of masks[b] over the bits b of domain; full_or when domain is full."""
     if domain == full:
@@ -334,21 +344,24 @@ def brute_force_homs(src: RelStruct, dst: RelStruct, pin=None) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class RigidReport:
-    rigid: bool
-    endo_count: int
+def is_rigid(s: RelStruct) -> bool:
+    """True when the only endomorphism is the identity.
 
-    def __bool__(self):
-        return self.rigid
-
-
-def is_rigid(s: RelStruct) -> RigidReport:
-    """True when the only endomorphism is the identity."""
-    result = enumerate_homs(s, s)
-    identity = tuple(range(s.n))
-    rigid = result.maps == (identity,)
-    return RigidReport(rigid, len(result.maps))
+    Decided one component at a time, pairs taken undirected and loops
+    dropped: a map of s is a homomorphism iff its restriction to each
+    component is (component_map's lemma), so End(s) is the product over
+    the components C of Hom(C, s).  The inclusion of C is one map of C
+    into s, and s is rigid iff it is the only one for every C: a search
+    of C into s, not into C, since two disjoint copies of a rigid
+    relation are not rigid.
+    """
+    left = (1 << s.n) - 1
+    while left:
+        piece = component(s._neighbours, (left & -left).bit_length() - 1, left)
+        left ^= piece
+        if len(enumerate_homs(s.restrict(_bits(piece)), s, limit=2).maps) != 1:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -403,12 +416,7 @@ def component_map(src: RelStruct, dst: RelStruct, within: int, x: int, y: int):
       both searches start from the same domains, with the part's values
       in the same order.
     """
-    piece = component(src._neighbours, x, within)
-    points = []
-    while piece:
-        low = piece & -piece
-        piece ^= low
-        points.append(low.bit_length() - 1)
+    points = _bits(component(src._neighbours, x, within))
     result = enumerate_homs(src.restrict(points), dst, pin={points.index(x): y}, limit=1)
     return dict(zip(points, result.maps[0])) if result.maps else None
 
@@ -417,12 +425,15 @@ def check_witness(s: RelStruct, w: WitnessSet) -> WitnessCheck:
     """Valid iff no map of w.subset into the universe with x -> y preserves
     the pairs lying inside the subset.  Judged by component_map: a
     counterexample moves x's component and fixes the rest of the subset.
-    An element of the subset outside the universe raises ValueError."""
+    An element of the subset or a y outside the universe raises
+    ValueError."""
     sub = w.subset
     # subset is sorted, so its ends bound it
     for e in (sub[0], sub[-1]):
         if not 0 <= e < s.n:
             raise ValueError(f"index {e} out of range for n={s.n}")
+    if not 0 <= w.y < s.n:
+        raise ValueError(f"target {w.y} out of range for n={s.n}")
     h = component_map(s, s, _or_all(map((1).__lshift__, sub)), w.x, w.y)
     if h is None:
         return WitnessCheck(True, None)
@@ -632,4 +643,4 @@ def remark1_check(s: RelStruct) -> Remark1Report:
                 continue
             if not check_witness(s, WitnessSet(full, x, y)).valid:
                 bad.append((x, y))
-    return Remark1Report(not bad, is_rigid(s).rigid, tuple(bad))
+    return Remark1Report(not bad, is_rigid(s), tuple(bad))

@@ -75,6 +75,17 @@ class TestPlacementOrder:
         with pytest.raises(NotAnchored):
             placement_order(gadget("chain", n=4).points)
 
+    def test_each_edge_starts_one_run(self, monkeypatch):
+        # each of chain n=5's 5 unit edges starts one run per pass, from its
+        # lower end; starting from both ends would double the runs and the
+        # calls, to 36
+        calls = []
+        real = bq._extend
+        monkeypatch.setattr(bq, "_extend", lambda *args: calls.append(1) or real(*args))
+        with pytest.raises(NotAnchored):
+            placement_order(gadget("chain", n=5).points)
+        assert len(calls) == 18
+
     def test_ball1(self):
         order = placement_order(lattice_ball(1))
         assert len(order.order) == 7

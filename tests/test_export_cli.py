@@ -547,13 +547,25 @@ class TestCli:
         assert self.run("rigid", "--input", path, "--out",
                         str(tmp_path / "r.json")) == 2
         doc = load_json(str(tmp_path / "r.json"))
-        assert doc["endomorphisms"] == 3
+        assert doc["rigid"] is False
 
     def test_rigid_positive(self, tmp_path):
         path = str(tmp_path / "rigid.json")
         save_json(relstruct_to_json(RelStruct(3, ((0, 2), (1, 0)))), path)
         assert self.run("rigid", "--input", path, "--out",
                         str(tmp_path / "r.json")) == 0
+
+    def test_rigid_edgeless(self, tmp_path, capsys):
+        # 12^12 endomorphisms, none of them listed: the first element's
+        # search finds a second map at once
+        path = str(tmp_path / "e12.json")
+        save_json(relstruct_to_json(RelStruct(12, ())), path)
+        out = str(tmp_path / "r.json")
+        assert self.run("rigid", "--input", path, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "not rigid: an endomorphism other than the identity\n")
+        doc = load_json(out)
+        assert doc["rigid"] is False and "endomorphisms" not in doc
 
     def test_certify_exit_codes(self, tmp_path):
         out = str(tmp_path / "c.json")

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 from collections import deque
 from itertools import combinations
 
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 
 from conftest import is_connected_within, reference_check_witness
 from rigidlab import acceptance, phi, plane, product, relations
+from rigidlab.cli import main
 from rigidlab.errors import NoWitnessExists
+from rigidlab.export import load_json, relstruct_to_json, save_json
 from rigidlab.relations import (
     RelStruct,
     WitnessSet,
@@ -416,10 +419,19 @@ class TestPinnedSearchCounts:
         assert len(calls) == 4
 
 
+@st.composite
+def split_structs(draw, n_max=5):
+    """Structures whose pairs stay inside the blocks of a drawn partition:
+    several components, with loops and isolated elements."""
+    n = draw(st.integers(1, n_max))
+    block = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    pool = [(i, j) for i in range(n) for j in range(n) if block[i] == block[j]]
+    return RelStruct(n, tuple(draw(st.sets(st.sampled_from(pool)))))
+
+
 class TestRigid:
     def test_cycle_not_rigid(self):
-        rep = is_rigid(RelStruct(3, ((0, 1), (1, 2), (2, 0))))
-        assert not rep.rigid and rep.endo_count == 3
+        assert not is_rigid(RelStruct(3, ((0, 1), (1, 2), (2, 0))))
 
     def test_first_rigid_three_element_relation(self):
         """Scanning bitmasks over the nine ordered pairs in row-major order,
@@ -427,7 +439,7 @@ class TestRigid:
         pool = [(i, j) for i in range(3) for j in range(3)]
         for mask in range(2 ** 9):
             pairs = tuple(pool[k] for k in range(9) if mask >> k & 1)
-            if is_rigid(RelStruct(3, pairs)).rigid:
+            if is_rigid(RelStruct(3, pairs)):
                 assert mask == 12
                 assert pairs == ((0, 2), (1, 0))
                 return
@@ -436,8 +448,42 @@ class TestRigid:
     def test_loop_forces_constant_endo(self):
         # a loop admits the constant map onto it, so never rigid for n >= 2
         s = RelStruct(2, ((0, 0),))
-        rep = is_rigid(s)
-        assert not rep.rigid
+        assert not is_rigid(s)
+
+    @given(split_structs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, s):
+        assert is_rigid(s) == (brute_force_homs(s, s) == (tuple(range(s.n)),))
+
+    def test_two_copies_of_a_rigid_relation(self):
+        # each copy maps onto the other, so each component is searched into
+        # the whole structure, not into itself
+        assert is_rigid(RelStruct(3, ((0, 2), (1, 0))))
+        assert not is_rigid(RelStruct(6, ((0, 2), (1, 0), (3, 5), (4, 3))))
+
+    def test_product_past_the_recursion_limit(self, tmp_path):
+        # a hom-free family of rigid orientations of lattice_ball(1), drawn
+        # greedily in all_orientations order until the product has more
+        # elements than the recursion limit allows frames.  The product is
+        # rigid, decided one fiber at a time; one search of the whole
+        # product would recurse once per element
+        ps = plane.lattice_ball(1)
+        family = []
+        for o in phi.all_orientations(ps):
+            m = o.relstruct()
+            if is_rigid(m) and not any(
+                    enumerate_homs(m, f.relstruct(), limit=1).maps
+                    or enumerate_homs(f.relstruct(), m, limit=1).maps for f in family):
+                family.append(o)
+                if len(family) * len(ps) > sys.getrecursionlimit():
+                    break
+        s = product.build_product(ps, family).structure
+        assert is_rigid(s)
+        path = str(tmp_path / "product.json")
+        save_json(relstruct_to_json(s), path)
+        out = str(tmp_path / "r.json")
+        assert main(["rigid", "--input", path, "--out", out]) == 0
+        assert load_json(out)["rigid"] is True
 
 
 class TestWitness:
@@ -452,6 +498,14 @@ class TestWitness:
         s = RelStruct(3, ((0, 1), (1, 2)))
         with pytest.raises(ValueError, match="out of range"):
             check_witness(s, WitnessSet(subset, 0, 1))
+
+    @pytest.mark.parametrize("y", [-1, 4, 99])
+    def test_check_witness_refuses_target_outside_universe(self, y):
+        # x = 2 is element 1 of its component {1, 2, 3}: the refusal names
+        # y and the universe, not x's index inside the component
+        path4 = RelStruct(4, ((0, 1), (1, 2), (2, 3)))
+        with pytest.raises(ValueError, match=f"^target {y} out of range for n=4$"):
+            check_witness(path4, WitnessSet((1, 2, 3), 2, y))
 
     def test_check_witness_valid(self):
         s = RelStruct(3, ((0, 2), (1, 0)))
