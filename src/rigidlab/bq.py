@@ -37,11 +37,15 @@ radius, its circle intersection once per difference of the two sites
 and squared radius.  A braced figure meets few positions many times
 over, and every enumeration places its images in the same frame, so the
 search repeats these decisions at many nodes and across many
-enumerations but pays for each once.
+enumerations but pays for each once.  The table also keeps each unit
+graph's placement order and each order's maps: congruent figures with
+one unit graph, a ladder in any lattice direction say, share one
+enumeration.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,6 +55,7 @@ from .errors import (
     NotRepresentable,
 )
 from .numeric import (
+    Q_SQRT3,
     SQRT3,
     Point,
     QScalar,
@@ -189,14 +194,28 @@ def placement_order(T: PointSet) -> PlacementOrder:
     nothing of the placed list but its mask, so a run from (j, i) places
     the same masks as one from (i, j) and stalls exactly when it does: it
     would come only after (i, j) had stalled, and stall too.
+
+    The greedy reads nothing of T but len(T) and the unit edges, so the
+    order is kept in the site table of T's field by (len(T), edges), and
+    congruent figures with one unit graph share it.  A refused set
+    (NotAnchored) stores nothing.
     """
-    n = len(T)
+    table = _site_table(_field_of(T))
+    key = (len(T), table.edges(T))
+    got = table.orders.get(key)
+    if got is None:
+        got = table.orders[key] = _greedy_order(*key)
+        table.held += 1
+    return got
+
+
+def _greedy_order(n: int, edges: tuple) -> PlacementOrder:
+    """placement_order of an n-point set with these unit edges, sorted,
+    unique and in range."""
     if n == 0:
         raise ValueError("empty point set")
     if n == 1:
         return PlacementOrder((0,), ((),))
-    edges = unit_edges(T)
-    # unit_edges' pairs are sorted, unique and in range
     nbrs = neighbours(RelStruct(n, edges, canonical=True))
     full = (1 << n) - 1
     if component(nbrs, 0, full) != full:
@@ -262,6 +281,10 @@ class _SiteTable:
     points lie on both circles, so their unit tests against t, and against
     s when r = 1, are recorded as true without computing them.
 
+    The table also keeps whole results: `orders`, each placement order
+    by (n, unit edges), and `maps`, each enumeration by (n, order, branch
+    limit).
+
     A table serves every enumeration in its field for the life of the
     process (_site_table).  Sharing is sound:
 
@@ -269,34 +292,47 @@ class _SiteTable:
       and, the mirror quotiented out, its first off-axis image lies above
       the axis.  So the enumerations of a field place their images in one
       coordinate system, and positions recur across them.
-    - Everything the table memoizes depends only on positions, values and
-      the field: a site's number, by value; its y sign and float pair, by
-      its point; the sites of a meet, by the two points, the radius value
-      and the field (the offsets, by the difference of the points, the
-      radius and the field); a unit test, by two points.  Nothing is keyed
-      by an enumeration's order, cluster steps or branch limit.
-    - A unit test between T's own points (unit_edges) depends on the two
+    - Everything the table memoizes depends only on what its key holds: a
+      site's number, by value; its y sign, float pair and cell, by its
+      point; the sites of a meet, by the two points, the radius value and
+      the field (the offsets, by the difference of the points, the radius
+      and the field); a unit test, by two points.
+    - A unit test between T's own points (edges) depends on the two
       points' values only, as one between images does, so T's points
       share sites and memo entries with equal images.
+    - An order reads nothing of T but the unit graph: the greedy sees
+      only n and the edges.
+    - An enumeration reads T only through len(T): every image is a site
+      of the frame, met from the origin's sites, and a cluster's
+      sub-figure is enumerated by its size and order alone.  So its maps,
+      nodes, pruned and truncated depend only on n, the order, the branch
+      limit and the field.
     - An entry is stored only once its value is computed, so a
-      NotRepresentable leaves the table as it was, and a later call
-      raises it again.
+      NotAnchored or NotRepresentable leaves the table as it was, and a
+      later call raises it again.  A truncated enumeration is a value of
+      its key and is stored; BudgetExhausted is raised only over it, by
+      bq_certify and naive_unit_maps.
 
     So a warm table answers every query as a fresh one would: the same
-    candidates in the same order and the same NotRepresentable, hence the
-    same maps, nodes, pruned and truncated.  The final sort reads the
-    float pairs of the maps' sites only, so it orders them alike.
+    order, the same candidates in the same order and the same
+    NotRepresentable, hence the same maps, nodes, pruned and truncated.
+    The final sort reads the float pairs of the maps' sites only, so it
+    orders them alike.
     """
 
     def __init__(self, field):
         self.points = []
         self.floats = []  # float pair of each site's point, a sort key; None until read
+        self.cells = []  # exact (floor(x), floor(y)) of each site's point; None until read
         self.y_sign = []  # sign of each site's y coordinate
         self._index = {}
         self._field = field
         self._offsets = {}
         self._meets = {}
         self._units = {}
+        self.orders = {}
+        self.maps = {}
+        self.held = 0  # orders and enumerations stored, plus their maps
         self.origin = self.sites_of((Point(0, 0), Point(1, 0)))
 
     def site(self, p: Point) -> int:
@@ -306,12 +342,16 @@ class _SiteTable:
             s = len(self.points)
             self.points.append(p)
             self.floats.append(None)
+            self.cells.append(None)
             self.y_sign.append(p.y.sign())
             self._index[p] = s
         return s
 
     def sites_of(self, pts) -> tuple:
-        return tuple(self.site(p) for p in pts)
+        # from a list: tuple() of a generator grows a fresh tuple by
+        # resizing, and the dead ones pile up in CPython's tuple free
+        # lists, which only a full collection empties
+        return tuple([self.site(p) for p in pts])
 
     def float_pair(self, s: int) -> tuple:
         """Float pair of site s's point, computed when a sort first reads
@@ -320,6 +360,31 @@ class _SiteTable:
         if got is None:
             got = self.floats[s] = point_to_float(self.points[s])
         return got
+
+    def cell(self, s: int) -> tuple:
+        """Exact (floor(x), floor(y)) of site s's point."""
+        got = self.cells[s]
+        if got is None:
+            p = self.points[s]
+            got = self.cells[s] = (math.floor(p.x), math.floor(p.y))
+        return got
+
+    def edges(self, T: PointSet) -> tuple:
+        """unit_edges of T in this table."""
+        sites = self.sites_of(T)
+        cells = [self.cell(s) for s in sites]
+        # near[c]: ascending indices of the points whose cell is c or a
+        # neighbour of c; points at unit distance differ by at most 1 in
+        # each coordinate, so their cells by at most 1 in each index
+        near = {}
+        for i, (cx, cy) in enumerate(cells):
+            for dx in (-1, 0, 1):
+                for dy in (-1, 0, 1):
+                    near.setdefault((cx + dx, cy + dy), []).append(i)
+        unit = self.unit
+        # from a list, as in sites_of
+        return tuple([(i, j) for i, s in enumerate(sites)
+                      for j in near[cells[i]] if j > i and unit(s, sites[j])])
 
     def unit(self, s: int, t: int) -> bool:
         key = (s, t)
@@ -367,9 +432,9 @@ class _SiteTable:
         return None
 
 
-# an enumeration that finds its field's table past this many sites or
-# memoized unit tests starts a fresh one, so a long-lived process holds a
-# bounded table per field
+# a call that finds its field's table past this many sites, memoized unit
+# tests, or stored orders, enumerations and maps (held) starts a fresh
+# one, so a long-lived process holds a bounded table per field
 _SITE_LIMIT = 1 << 16
 _TABLES = {}  # field -> the _SiteTable its enumerations share
 
@@ -378,7 +443,7 @@ def _site_table(field) -> _SiteTable:
     """The site table shared by the enumerations in `field`.  The tables
     take no lock: the package enumerates on one thread."""
     table = _TABLES.get(field)
-    if table is None or max(len(table.points), len(table._units)) > _SITE_LIMIT:
+    if table is None or max(len(table.points), len(table._units), table.held) > _SITE_LIMIT:
         table = _TABLES[field] = _SiteTable(field)
     return table
 
@@ -389,15 +454,15 @@ def unit_edges(T: PointSet) -> tuple:
 
     T's points are interned as sites, and the table's memo decides each
     ordered pair of sites once for its life, so a set met again, or the
-    pairs a set shares with one met before, cost no field operation.  A
-    unit test depends on the two points' values only, so the edges are
-    those of the all-pairs loop, in its order.
+    pairs a set shares with one met before, cost no field operation.
+    Only pairs whose exact cells (floor(x), floor(y)) are equal or
+    neighbours are tested, each site's cell computed once: a unit pair
+    differs by at most 1 in each coordinate.  A unit test depends on the
+    two points' values only, and every pair (i, j), i < j, is tested as
+    the all-pairs loop tests it, so the edges are that loop's, in its
+    order.
     """
-    table = _site_table(_field_of(T))
-    sites = table.sites_of(T)
-    unit = table.unit
-    return tuple((i, j) for i, s in enumerate(sites)
-                 for j in range(i + 1, len(sites)) if unit(s, sites[j]))
+    return _site_table(_field_of(T)).edges(T)
 
 
 def enumerate_unit_maps(T: PointSet, order: PlacementOrder = None,
@@ -416,11 +481,17 @@ def enumerate_unit_maps(T: PointSet, order: PlacementOrder = None,
     enumeration shares its field's table with every earlier one in the
     process, so a position met before costs none either.  Maps share the
     Point object of each position, across enumerations too.
+
+    The search reads T only through len(T): every image is a site of the
+    shared frame.  So the result is kept in the table by (len(T), order,
+    branch limit) and returned again, the same object, for every figure
+    with that order, and congruent figures with one unit graph share one
+    enumeration.
     """
     _check_branch_limit(branch_limit)
     if order is None:
         order = placement_order(T)
-    return _enumerate(T, order, branch_limit, _field_of(T), naive=False)
+    return _enumerate(len(T), order, branch_limit, _field_of(T), naive=False)
 
 
 def _check_branch_limit(branch_limit) -> None:
@@ -442,8 +513,21 @@ def _distinct(values) -> list:
     return sorted(dict.fromkeys(values), key=float)
 
 
-def _enumerate(T, order, branch_limit, field, naive):
-    n = len(T)
+def _enumerate(n, order, branch_limit, field, naive):
+    """The maps of an n-point figure in this order, searched in `field`'s
+    site table; with naive False, each result is kept in the table."""
+    if naive:
+        return _search(n, order, branch_limit, field, naive)
+    table = _site_table(field)
+    key = (n, order, branch_limit)
+    got = table.maps.get(key)
+    if got is None:
+        got = table.maps[key] = _search(n, order, branch_limit, field, naive)
+        table.held += 1 + len(got.maps)
+    return got
+
+
+def _search(n, order, branch_limit, field, naive):
     images = [None] * n
     maps = []
     stats = {"nodes": 0, "pruned": 0, "truncated": False}
@@ -455,7 +539,7 @@ def _enumerate(T, order, branch_limit, field, naive):
     for k, step in enumerate(order.clusters):
         if step is None:
             continue
-        sub = _enumerate(T.subset(step.members), step.order, branch_limit, field, naive)
+        sub = _enumerate(len(step.members), step.order, branch_limit, field, naive)
         stats["nodes"] += sub.nodes
         stats["pruned"] += sub.pruned
         if sub.truncated:
@@ -615,19 +699,20 @@ def naive_unit_maps(T: PointSet, order: PlacementOrder = None,
     produce exactly the same set (criterion: completeness of enumeration).
     Only the two intersection anchors constrain a placement; every other
     unit edge is checked at the leaves, never through the engine's site
-    table: the edges come from plane.unit_graph, not unit_edges.  The
-    branch limit counts and is refused as in
-    enumerate_unit_maps.  A cluster step is shared with the engine, radii
-    and candidates alike, so for glued figures the oracle checks pruning
-    and mirroring only.
+    table: the edges come from plane.unit_graph, not unit_edges, and a
+    missing order is the greedy's over those edges, not the table's kept
+    one.  No kept enumeration is read either.  The branch limit counts and
+    is refused as in enumerate_unit_maps.  A cluster step is shared with
+    the engine, radii and candidates alike, so for glued figures the
+    oracle checks pruning and mirroring only.
     """
     _check_branch_limit(branch_limit)
+    edges = unit_graph(T)
     if order is None:
-        order = placement_order(T)
-    raw = _enumerate(T, order, branch_limit, _field_of(T), naive=True)
+        order = _greedy_order(len(T), edges)
+    raw = _enumerate(len(T), order, branch_limit, _field_of(T), naive=True)
     if raw.truncated:
         raise BudgetExhausted("naive enumeration exceeded its branch limit", partial=raw)
-    edges = unit_graph(T)
     # maps share the Point of each position, so one decision per pair of
     # image objects; raw.maps keeps every one alive, so no id() is reused
     seen = {}
@@ -743,17 +828,26 @@ class GrowResult:
     strategy: str
 
 
+def _apexes(u: Point, v: Point) -> list:
+    """The common unit neighbors of distinct points u and v, read from
+    the meet of their sites in the Q(sqrt(3)) table: circle_intersect's
+    default field, so the same points in the same order, and the same
+    NotRepresentable, as intersecting the unit circles about u and v."""
+    table = _site_table(Q_SQRT3)
+    return [table.points[c] for c in table.meet(table.site(u), table.site(v))]
+
+
 def _braced(vs) -> PointSet:
     """The vertices vs plus both common unit neighbors of each hop."""
     pts = list(vs)
     for u, v in zip(vs, vs[1:]):
-        pts.extend(circle_intersect(u, 1, v, 1))
+        pts.extend(_apexes(u, v))
     return PointSet(pts)
 
 
 def _rhombus(a: Point, d: Point) -> PointSet:
     """a and d with both common unit neighbors between them."""
-    return PointSet([a, *circle_intersect(a, 1, d, 1), d])
+    return PointSet([a, *_apexes(a, d), d])
 
 
 def _integer_distance(x: Point, y: Point):

@@ -182,14 +182,15 @@ def witness_case1(x: Point, y: Point, epsilon=None,
         raise ValueError("witness construction requires x != y")
     if epsilon is not None:
         epsilon = _epsilon(epsilon)
-    anchor_index = next((i for i, corner in enumerate(TRIANGLE)
-                         if dist2(corner, x) != dist2(corner, y)), -1)
-    if anchor_index < 0:
+    # each corner's two squared distances, computed once and read below
+    for anchor_index, anchor in enumerate(TRIANGLE):
+        a2, b2 = dist2(anchor, x), dist2(anchor, y)
+        if a2 != b2:
+            break
+    else:
         raise ValueError("x and y are equidistant from all three anchors")
-    anchor = TRIANGLE[anchor_index]
 
     if epsilon is None:
-        a2, b2 = dist2(anchor, x), dist2(anchor, y)
         gap = deviation_value(a2, b2)
         if not isinstance(gap, QScalar):
             raise NotRepresentable(f"the case-1 gap |sqrt({a2}) - sqrt({b2})| has no exact value")
@@ -212,7 +213,7 @@ def witness_case1(x: Point, y: Point, epsilon=None,
     ))
     src = P.element(universe.index_of(x), 0)
     tgt = P.element(universe.index_of(y), 0)
-    strict = not sqrt_diff_within(dist2(anchor, y), dist2(anchor, x), epsilon)
+    strict = not sqrt_diff_within(b2, a2, epsilon)
     return Case1Witness(
         product=P,
         witness=WitnessSet(elements, src, tgt),

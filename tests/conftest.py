@@ -37,6 +37,20 @@ def reference_check_witness(s: RelStruct, w) -> WitnessCheck:
     return WitnessCheck(False, {sub[k]: vec[k] for k in range(len(sub))})
 
 
+def reference_braced(vs) -> PointSet:
+    """bq._braced as it was before it read the site table: both apexes of
+    each hop from a direct circle intersection."""
+    pts = list(vs)
+    for u, v in zip(vs, vs[1:]):
+        pts.extend(circle_intersect(u, 1, v, 1))
+    return PointSet(pts)
+
+
+def reference_rhombus(a: Point, d: Point) -> PointSet:
+    """bq._rhombus as it was before it read the site table."""
+    return PointSet([a, *circle_intersect(a, 1, d, 1), d])
+
+
 @contextmanager
 def emptied_tables():
     """The exact enumerations inside start from no shared site table; the

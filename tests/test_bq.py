@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import emptied_tables
+from conftest import emptied_tables, reference_braced, reference_rhombus
 from rigidlab import bq
 from rigidlab.bq import (
     DEFAULT_BRANCH_LIMIT,
@@ -31,6 +31,7 @@ from rigidlab.errors import (
     MixedBackend,
     NotAnchored,
     NotRepresentable,
+    RigidlabError,
 )
 from rigidlab.export import dumps_canonical, pointset_to_json
 from rigidlab.numeric import (
@@ -289,11 +290,12 @@ def _rounded(zs) -> tuple:
 
 def reference_unit_maps(T, order=None, branch_limit=DEFAULT_BRANCH_LIMIT, field=None):
     """Plain enumerator in the engine's order, mirror rule and anchor
-    pruning: circle_intersect and is_unit are called afresh at every node.
-    A cluster's sub-figure is enumerated in the whole figure's field.
-    Returns (maps, nodes, pruned, truncated)."""
+    pruning: circle_intersect and is_unit are called afresh at every node,
+    and a missing order is reference_placement_order's, so no site table
+    is read.  A cluster's sub-figure is enumerated in the whole figure's
+    field.  Returns (maps, nodes, pruned, truncated)."""
     if order is None:
-        order = placement_order(T)
+        order = reference_placement_order(T)
     if field is None:
         field = tuple(sorted({3}.union(*(p.x.radicands + p.y.radicands for p in T))))
     base = (Point(QScalar(0), QScalar(0)), Point(QScalar(1), QScalar(0)))
@@ -463,14 +465,15 @@ class TestReferenceEnumerator:
         res = enumerate_unit_maps(_ladder(lattice_point(k, 0), k))
         assert (res.nodes, res.pruned, len(res.maps)) == counts
 
-    @pytest.mark.parametrize("y,k,calls", [((4, 0), 4, (6, 99)), ((0, -5), 5, (6, 167))])
+    @pytest.mark.parametrize("y,k,calls", [((4, 0), 4, (6, 65)), ((0, -5), 5, (6, 88))])
     def test_ladder_work_pinned(self, y, k, calls, monkeypatch):
         # from an emptied table, the placement order tests each pair of
-        # T's 13 or 16 points once (78 or 120), then one intersection per
-        # difference of two anchor images, and no unit test of a candidate
-        # against the centres it was met from or of a pair decided before;
-        # a second enumeration finds every position and pair in the
-        # field's shared table and pays nothing
+        # T's 13 or 16 points in equal or neighbouring cells once (42 of
+        # 78 pairs, or 40 of 120), then one intersection per difference of
+        # two anchor images, and no unit test of a candidate against the
+        # centres it was met from or of a pair decided before; a second
+        # enumeration finds its order and maps in the field's shared table
+        # and pays nothing
         count = _counted_arithmetic(monkeypatch)
         T = _ladder(lattice_point(*y), k)
         with emptied_tables():
@@ -568,6 +571,13 @@ class TestUnitEdges:
         assert [j for i, j in edges if i == 0] == [7, 8, 9]
 
 
+def _memo_sizes(t) -> tuple:
+    """Sizes of every memo of a site table; the kept orders, maps and
+    their count toward the bound last."""
+    return (len(t.points), len(t._meets), len(t._offsets), len(t._units),
+            len(t.orders), len(t.maps), t.held)
+
+
 def _shifted(ps, dx) -> PointSet:
     """ps translated by dx along the x axis: the same maps, in the field of
     ps and dx."""
@@ -615,26 +625,39 @@ class TestSharedSiteTable:
         field = bq._field_of(spindle_braced_ball1)
         spindle = ORACLE_FIGURES["spindle-exact"]()
         assert bq._field_of(spindle) == field == (3, 11, 33)
+        chain = gadget("chain", n=5).points
         with emptied_tables() as tables:
-            sizes = []
-            for _ in range(2):
-                with pytest.raises(NotRepresentable):
-                    enumerate_unit_maps(spindle_braced_ball1)
-                t = tables[field]
-                sizes.append((len(t.points), len(t._meets), len(t._offsets), len(t._units)))
-            assert sizes[0] == sizes[1]
+            for ps, exc, field in ((spindle_braced_ball1, NotRepresentable, field),
+                                   (chain, NotAnchored, (3,))):
+                sizes = []
+                for _ in range(2):
+                    with pytest.raises(exc):
+                        enumerate_unit_maps(ps)
+                    t = tables[field]
+                    sizes.append(_memo_sizes(t))
+                assert sizes[0] == sizes[1]
+            # the ball's order is a value and is kept; its maps are not
+            order = placement_order(spindle_braced_ball1)
+            assert (len(spindle_braced_ball1), order, DEFAULT_BRANCH_LIMIT) not in tables[field].maps
+            # the chain has no order: nothing of it is kept
+            assert _memo_sizes(tables[(3,)])[-3:] == (0, 0, 0)
             res = _assert_matches_reference(spindle, runs=2)
         assert len(res.maps) == 4
 
-    def test_table_past_the_bound_is_replaced(self, monkeypatch):
-        ps = ORACLE_FIGURES["ladder3(1, 0)"]()
+    @pytest.mark.parametrize("name,largest", [("ladder3(1, 0)", "_units"),
+                                              ("ladder4(1, 0)", "held")])
+    def test_table_past_the_bound_is_replaced(self, name, largest, monkeypatch):
+        # the unit memo, or the kept orders and maps, outgrow the sites: a
+        # table holding exactly the bound in each is kept, one past it in
+        # any is replaced
+        ps = ORACLE_FIGURES[name]()
         with emptied_tables() as tables:
             _assert_matches_reference(ps)
             first = tables[(3,)]
-            # the unit memo outgrows the sites: a table holding exactly
-            # the bound in both is kept, one past it in either is replaced
-            size = max(len(first.points), len(first._units))
-            assert size == len(first._units) > len(first.points)
+            measures = {"points": len(first.points), "_units": len(first._units),
+                        "held": first.held}
+            size = max(measures.values())
+            assert [k for k, v in measures.items() if v == size] == [largest]
             monkeypatch.setattr(bq, "_SITE_LIMIT", size)
             _assert_matches_reference(ps)
             assert tables[(3,)] is first
@@ -642,7 +665,32 @@ class TestSharedSiteTable:
             _assert_matches_reference(ps)
             second = tables[(3,)]
             assert second is not first
-            assert (len(second.points), len(second._units)) == (len(first.points), size)
+            assert _memo_sizes(second) == _memo_sizes(first)
+
+    def test_ladder_directions_share_one_enumeration(self):
+        # every lattice direction, and a far translation, gives the ladder
+        # the same unit graph, so one order and one kept enumeration; each
+        # copy's maps are still the reference enumerator's for that copy
+        k = 3
+        copies = [_ladder(lattice_point(k * a, k * b), k) for a, b in UNIT_DIRS]
+        copies.append(_moved(copies[0], lattice_point(700, -300)))
+        with emptied_tables() as tables:
+            results = [_assert_matches_reference(ps) for ps in copies]
+            t = tables[(3,)]
+            assert (len(t.orders), len(t.maps)) == (1, 1)
+        assert all(res is results[0] for res in results)
+        assert (results[0].nodes, len(results[0].maps)) == (185, 61)
+
+    @pytest.mark.parametrize("limits", [(100, 185, DEFAULT_BRANCH_LIMIT), (0, 184, 186)])
+    def test_each_branch_limit_gets_its_own_entry(self, limits):
+        ps = ORACLE_FIGURES["ladder3(1, 0)"]()
+        nodes = 185
+        with emptied_tables() as tables:
+            for count, limit in enumerate(limits, 1):
+                for _ in range(2):
+                    res = _assert_matches_reference(ps, branch_limit=limit)
+                    assert res.truncated == (limit < nodes)
+                    assert len(tables[(3,)].maps) == count
 
     def test_replaced_table_gives_the_same_edges_and_maps(self, monkeypatch):
         # at this bound every call replaces the table its predecessor
@@ -874,7 +922,9 @@ class TestIsometryInvariance:
     point up to 1000 steps away, gets the same report.  The spindle's
     images lie in Q(sqrt(3), sqrt(11), sqrt(33)), a table apart from the
     other gadgets', and its glued vertex meets at squared radii other
-    than 1."""
+    than 1.  Each moved copy is certified from emptied tables: a warm
+    table keeps the original's order and maps, and would answer the copy
+    with them without reading its points."""
 
     @pytest.mark.parametrize("kind,x,y,eps", _CERTIFICATES)
     def test_reports_equal(self, kind, x, y, eps):
@@ -886,7 +936,8 @@ class TestIsometryInvariance:
         for move in moves:
             moved = PointSet([move(p) for p in g.points])
             assert dist2(moved[xi], moved[yi]) == dist2(g.points[xi], g.points[yi])
-            assert _certificate(moved, xi, yi, eps) == want
+            with emptied_tables():
+                assert _certificate(moved, xi, yi, eps) == want
 
     @given(st.sampled_from(_CERTIFICATES), st.integers(-1000, 1000), st.integers(-1000, 1000))
     @settings(max_examples=40, deadline=None)
@@ -897,7 +948,9 @@ class TestIsometryInvariance:
         g = gadget(kind)
         xi, yi = g.labeled_index(x), g.labeled_index(y)
         moved = _moved(g.points, lattice_point(a, b))
-        assert _certificate(moved, xi, yi, eps) == _certificate(g.points, xi, yi, eps)
+        want = _certificate(g.points, xi, yi, eps)
+        with emptied_tables():
+            assert _certificate(moved, xi, yi, eps) == want
 
 
 class TestGadgets:
@@ -1058,3 +1111,77 @@ class TestGrowWitness:
         # the edge strategy needs no node, and still refuses the limit
         with pytest.raises(ValueError, match="branch limit"):
             grow_witness(P0, lattice_point(*y), QScalar(1), budget=-1)
+
+
+_nonzero = st.fractions(-3, 3, max_denominator=4).filter(bool)
+_hop_targets = st.one_of(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any).map(
+        lambda t: lattice_point(*t)),
+    # off the lattice in Q(sqrt(3))
+    _q3_vectors.filter(lambda p: p != P0),
+    # a sqrt(11) term in x
+    st.tuples(_q3_scalars, _nonzero, _q3_scalars).map(
+        lambda t: Point(t[0] + QScalar(ext=((11, t[1]),)), t[2])),
+)
+
+
+@st.composite
+def _hop_sequences(draw):
+    """Vertices from P0 toward a drawn point: a unit path, a ladder of k
+    unit hops, or k hops of length |y| / d for a drawn d, whose apexes may
+    be missing, tangent or outside Q(sqrt(3))."""
+    y = draw(_hop_targets)
+    k = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["path", "ladder", "stretched"]))
+    d = draw(_nonzero.map(abs))
+    try:
+        if kind == "path":
+            return tuple(unit_path(P0, y))
+        if kind == "ladder":
+            d = sqrt_exact(dist2(P0, y), (3, 11, 33))
+    except NotRepresentable:
+        pass
+    return tuple(unit_hops(P0, y, d, k))
+
+
+def _outcome(build, *args):
+    """The points build(*args) returns, in order, or the type it raises."""
+    try:
+        return tuple(build(*args))
+    except RigidlabError as exc:
+        return type(exc)
+
+
+class TestApexes:
+    """_braced and _rhombus read each hop's apexes from the Q(sqrt(3))
+    site table's circle meet; the builders that intersect the circles
+    directly must find the same points in the same order, or raise the
+    same exception, whether that table is cold, warm or the session's."""
+
+    @given(_hop_sequences())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_direct_intersection(self, vs):
+        want_braced = _outcome(reference_braced, vs)
+        want_rhombus = _outcome(reference_rhombus, vs[0], vs[-1])
+        with emptied_tables() as tables:
+            for _ in range(2):
+                assert _outcome(_braced, vs) == want_braced
+                assert _outcome(bq._rhombus, vs[0], vs[-1]) == want_rhombus
+            assert set(tables) == {(3,)}
+        assert _outcome(_braced, vs) == want_braced
+        assert _outcome(bq._rhombus, vs[0], vs[-1]) == want_rhombus
+
+    @pytest.mark.parametrize("vs,want", [
+        # unit hops: both apexes of every hop
+        ((P0, P1, lattice_point(2, 0)), 7),
+        # a hop of length 2: the circles touch once
+        ((P0, lattice_point(2, 0)), 3),
+        # a hop longer than 2: no apex
+        ((P0, lattice_point(3, 0)), 2),
+        # a hop of squared length 1/2: the apexes need sqrt(7)
+        ((P0, Point(Fraction(1, 2), Fraction(1, 2))), NotRepresentable),
+    ])
+    def test_each_case_of_the_meet(self, vs, want):
+        got = _outcome(_braced, vs)
+        assert got == _outcome(reference_braced, vs)
+        assert (got if isinstance(got, type) else len(got)) == want
